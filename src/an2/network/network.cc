@@ -1,10 +1,36 @@
 #include "an2/network/network.h"
 
-#include <limits>
+#include <algorithm>
+#include <functional>
 
 #include "an2/base/error.h"
 
 namespace an2 {
+
+namespace {
+
+/** Restore min-heap order after the root's key grew. */
+void
+siftDownRoot(std::vector<std::pair<PicoTime, NodeId>>& heap)
+{
+    const size_t n = heap.size();
+    const std::pair<PicoTime, NodeId> root = heap[0];
+    size_t i = 0;
+    while (true) {
+        size_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && heap[child + 1] < heap[child])
+            ++child;
+        if (!(heap[child] < root))
+            break;
+        heap[i] = heap[child];
+        i = child;
+    }
+    heap[i] = root;
+}
+
+}  // namespace
 
 Network::Network(const NetworkConfig& config)
     : config_(config), admission_(config.switch_frame_slots)
@@ -228,19 +254,17 @@ void
 Network::run(PicoTime until_ps)
 {
     AN2_REQUIRE(!nodes_.empty(), "network has no nodes");
-    while (true) {
-        PicoTime best = std::numeric_limits<PicoTime>::max();
-        NetNode* next = nullptr;
-        for (auto& n : nodes_) {
-            PicoTime t = n->nextTick();
-            if (t < best) {
-                best = t;
-                next = n.get();
-            }
-        }
-        if (best > until_ps)
-            break;
-        next->tick();
+    // Rebuilt on every call: ParallelNet and Lan's fault segments tick
+    // the same nodes between calls, and nodes may be added.
+    tick_heap_.clear();
+    for (auto& n : nodes_)
+        tick_heap_.emplace_back(n->nextTick(), n->id());
+    std::make_heap(tick_heap_.begin(), tick_heap_.end(), std::greater<>());
+    while (tick_heap_[0].first <= until_ps) {
+        NetNode& next = *nodes_[static_cast<size_t>(tick_heap_[0].second)];
+        next.tick();
+        tick_heap_[0].first = next.nextTick();
+        siftDownRoot(tick_heap_);
     }
 }
 

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "an2/base/types.h"
@@ -95,7 +96,16 @@ class Network
     /** The unique link from `from` to `to` (state inspection). */
     const NetLink& linkBetween(NodeId from, NodeId to) const;
 
-    /** Run the event loop until wall time `until_ps`. */
+    /**
+     * Run the event loop until wall time `until_ps`: tick every node
+     * whose next slot boundary is at or before `until_ps`, in global
+     * wall-time order. Same-time ticks go to the lowest NodeId first.
+     *
+     * Cost: O(N) per call to rebuild a min-heap over (nextTick, NodeId)
+     * from the nodes' clocks, which other engines may have advanced
+     * since the last call, then O(log N) per tick. A tick moves only
+     * its own node's clock, so it re-keys the heap root in place.
+     */
     void run(PicoTime until_ps);
 
     /** Run approximately `frames` switch frames of nominal wall time. */
@@ -200,6 +210,9 @@ class Network
     std::unordered_map<uint64_t, int> edge_index_;
     AdmissionController admission_;
     FlowId next_flow_ = 0;
+    /** run()'s min-heap of (nextTick, NodeId); a member so steady-state
+        runs reuse its capacity instead of allocating. */
+    std::vector<std::pair<PicoTime, NodeId>> tick_heap_;
 };
 
 }  // namespace an2

@@ -55,7 +55,7 @@ runPoint(const NetSweepSpec& spec, const Topology& topo, double load,
     config.phase_jitter = spec.phase_jitter;
     config.seed = harness::runSeed(spec.base_seed, run_index, 0);
     int iterations = spec.pim_iterations;
-    config.matcher = [iterations](int n_ports, uint64_t seed) {
+    config.matcher = [iterations](int /*n_ports*/, uint64_t seed) {
         PimConfig cfg;
         cfg.iterations = iterations;
         cfg.seed = seed;

@@ -426,6 +426,63 @@ TEST(NetworkTest, TwoCbrFlowsShareASwitchUnderDrift)
     EXPECT_EQ(sink.deliveryStats(fb).order_violations, 0);
 }
 
+/** Per-direction outcome of the same-time tick probe below. */
+struct TieProbe
+{
+    int64_t ab_delivered;
+    int64_t ba_delivered;
+    double ab_latency_ps;
+    double ba_latency_ps;
+};
+
+/**
+ * Two controllers joined both ways by zero-latency links, each sending
+ * VBR to the other at full rate. A cell sent in a slot that the
+ * receiver executes at the same wall time is delivered in that slot
+ * only if the sender ticks first, so the latency sums record which node
+ * won every tie.
+ */
+TieProbe
+runTieProbe(double b_rate_error)
+{
+    NetworkConfig cfg;
+    cfg.slot_ps = 1000;
+    cfg.switch_frame_slots = 10;
+    cfg.controller_padding = 2;
+    Network net(cfg);
+    NodeId a = net.addController(0.0, 1);
+    NodeId b = net.addController(b_rate_error, 2);
+    net.connect(a, 0, b, 0, 0);
+    net.connect(b, 0, a, 0, 0);
+    FlowId ab = net.addVbrFlow({a, b}, 1.0);
+    FlowId ba = net.addVbrFlow({b, a}, 1.0);
+    net.runFrames(20);
+    const FlowDeliveryStats& at_b = net.controller(b).deliveryStats(ab);
+    const FlowDeliveryStats& at_a = net.controller(a).deliveryStats(ba);
+    return {at_b.delivered, at_a.delivered, at_b.wall_latency_ps.sum(),
+            at_a.wall_latency_ps.sum()};
+}
+
+TEST(NetworkTest, SameTimeTicksGoToLowestNodeIdFirst)
+{
+    // Equal clocks: every tick ties, node a (id 0) goes first, so a's
+    // cells arrive in the slot they were sent and b's one slot later.
+    TieProbe equal = runTieProbe(0.0);
+    EXPECT_EQ(equal.ab_delivered, 169);
+    EXPECT_EQ(equal.ba_delivered, 168);
+    EXPECT_EQ(equal.ab_latency_ps, 0.0);
+    EXPECT_EQ(equal.ba_latency_ps, 168000.0);
+
+    // b at half rate: every second tick of a coincides with one of b's,
+    // and b was queued for that time one slot before a was. Breaking
+    // ties by queueing (insertion) order would put b first there.
+    TieProbe halved = runTieProbe(-0.5);
+    EXPECT_EQ(halved.ab_delivered, 169);
+    EXPECT_EQ(halved.ba_delivered, 84);
+    EXPECT_EQ(halved.ab_latency_ps, 84000.0);
+    EXPECT_EQ(halved.ba_latency_ps, 84000.0);
+}
+
 TEST(NetworkTest, TypedAccessorsValidateKind)
 {
     Network net(NetworkConfig{});

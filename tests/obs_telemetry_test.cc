@@ -108,8 +108,9 @@ TEST(LogHistogramTest, RoundTripAtPowerOfTwoBoundaries)
                 << "k=" << k << " value " << v << " bin " << bin;
             // A value past the clamp threshold must land in the last
             // bin, not wrap into an arbitrary one.
-            if (v >= (int64_t{1} << LogHistogram::kValueBits))
+            if (v >= (int64_t{1} << LogHistogram::kValueBits)) {
                 EXPECT_EQ(bin, LogHistogram::kBins - 1) << "value " << v;
+            }
         }
     }
     // INT64_MAX clamps into the last bin and its floor stays below it.
