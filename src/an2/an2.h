@@ -41,8 +41,6 @@
 #include "an2/matching/statistical.h"
 #include "an2/matching/windowed_fifo.h"
 
-#include "an2/queueing/flow_queue.h"
-#include "an2/queueing/output_queue.h"
 #include "an2/queueing/voq.h"
 
 #include "an2/fabric/batcher_banyan.h"
@@ -65,6 +63,7 @@
 #include "an2/sim/switch.h"
 #include "an2/sim/traffic.h"
 #include "an2/sim/virtual_clock.h"
+#include "an2/sim/voq_core.h"
 
 #include "an2/harness/aggregate.h"
 #include "an2/harness/json_writer.h"

@@ -4,7 +4,7 @@
 
 #include "an2/base/error.h"
 #include "an2/fault/invariants.h"
-#include "an2/matching/request_matrix.h"
+#include "an2/matching/wordset.h"
 
 namespace an2 {
 
@@ -12,23 +12,20 @@ NetSwitch::NetSwitch(NodeId id, LocalClock clock, int n_ports,
                      int frame_slots, std::unique_ptr<Matcher> vbr_matcher,
                      bool fifo_merge)
     : NetNode(id, clock), n_ports_(n_ports), frame_slots_(frame_slots),
-      fifo_merge_(fifo_merge), vbr_matcher_(std::move(vbr_matcher)),
+      fifo_merge_(fifo_merge),
+      vbr_(n_ports, std::move(vbr_matcher), "NetSwitch"),
       cbr_(n_ports, frame_slots),
       in_links_(static_cast<size_t>(n_ports), nullptr),
       out_links_(static_cast<size_t>(n_ports), nullptr),
-      in_busy_(static_cast<size_t>(n_ports), 0),
-      out_busy_(static_cast<size_t>(n_ports), 0), req_(n_ports),
-      match_(n_ports)
+      unlinked_out_(static_cast<size_t>(vbr_.maskWords()), 0),
+      in_busy_(static_cast<size_t>(vbr_.maskWords()), 0),
+      out_busy_(static_cast<size_t>(vbr_.maskWords()), 0), match_(n_ports)
 {
-    AN2_REQUIRE(n_ports > 0, "switch needs at least one port");
     AN2_REQUIRE(frame_slots > 0, "frame must be non-empty");
-    AN2_REQUIRE(vbr_matcher_ != nullptr, "a VBR matcher is required");
+    wordset::fillFirst(unlinked_out_.data(), vbr_.maskWords(), n_ports);
     cbr_bufs_.reserve(static_cast<size_t>(n_ports));
-    vbr_bufs_.reserve(static_cast<size_t>(n_ports));
-    for (int p = 0; p < n_ports; ++p) {
+    for (int p = 0; p < n_ports; ++p)
         cbr_bufs_.emplace_back(n_ports);
-        vbr_bufs_.emplace_back(n_ports);
-    }
     occupancy_.max_cbr_per_input.assign(static_cast<size_t>(n_ports), 0);
     occupancy_.max_vbr_per_input.assign(static_cast<size_t>(n_ports), 0);
 }
@@ -55,6 +52,8 @@ NetSwitch::setOutLink(PortId p, NetLink* link)
     AN2_REQUIRE(out_links_[static_cast<size_t>(p)] == nullptr,
                 "output port " << p << " already connected");
     out_links_[static_cast<size_t>(p)] = link;
+    if (link != nullptr)
+        wordset::clearBit(unlinked_out_.data(), p);
 }
 
 bool
@@ -171,10 +170,8 @@ NetSwitch::updateRoute(FlowId flow, PortId out_port)
     if (route->out_port == out_port)
         return;
     route->out_port = out_port;
-    // Cells already buffered follow the new route too; the flow lives in
-    // at most one input buffer, the rest are hash-miss no-ops.
-    for (auto& buf : vbr_bufs_)
-        buf.rebindFlow(flow, out_port);
+    // Cells already buffered follow the new route too, requests and all.
+    vbr_.rebindFlow(flow, out_port);
 }
 
 PortId
@@ -237,23 +234,19 @@ NetSwitch::acceptArrivals(PicoTime now)
                 peak = std::max(
                     peak, cbr_bufs_[static_cast<size_t>(p)].totalCells());
             } else {
-                auto& vb = vbr_bufs_[static_cast<size_t>(p)];
+                const InputBuffer& vb = vbr_.input(p);
                 if (vbr_buffer_limit_ > 0 &&
                     vb.totalCells() >= vbr_buffer_limit_) {
                     ++vbr_dropped_;  // flow-controlled datagram buffer full
                     continue;
                 }
-                if (fifo_merge_) {
-                    // One FIFO per (input, output) pair, all flows mixed.
-                    auto key = static_cast<FlowId>(c.output);
-                    vbr_bufs_[static_cast<size_t>(p)].enqueueAs(key, c);
-                } else {
-                    vbr_bufs_[static_cast<size_t>(p)].enqueue(c);
-                }
+                // FIFO merge: one queue per (input, output) pair, all
+                // flows mixed.
+                vbr_.enqueueAs(
+                    fifo_merge_ ? static_cast<FlowId>(c.output) : c.flow, c);
                 auto& peak =
                     occupancy_.max_vbr_per_input[static_cast<size_t>(p)];
-                peak = std::max(
-                    peak, vbr_bufs_[static_cast<size_t>(p)].totalCells());
+                peak = std::max(peak, vb.totalCells());
             }
         }
     }
@@ -282,8 +275,10 @@ NetSwitch::tick()
         clock_.slotStart((slot / frame_slots_ + 1) * frame_slots_);
 
     // Phase 1: CBR cells ride their scheduled pairings.
-    std::fill(in_busy_.begin(), in_busy_.end(), uint8_t{0});
-    std::fill(out_busy_.begin(), out_busy_.end(), uint8_t{0});
+    const int words = vbr_.maskWords();
+    wordset::clearAll(in_busy_.data(), words);
+    std::copy(unlinked_out_.begin(), unlinked_out_.end(), out_busy_.begin());
+    bool any_busy = wordset::anySet(out_busy_.data(), words);
     const FrameSchedule& sched = cbr_.schedule();
     for (PortId i = 0; i < n_ports_; ++i) {
         PortId j = sched.outputAt(fs, i);
@@ -304,35 +299,22 @@ NetSwitch::tick()
         AN2_ASSERT(out_links_[static_cast<size_t>(j)] != nullptr,
                    "scheduled output " << j << " has no link");
         out_links_[static_cast<size_t>(j)]->send(c, now);
-        in_busy_[static_cast<size_t>(i)] = 1;
-        out_busy_[static_cast<size_t>(j)] = 1;
+        wordset::setBit(in_busy_.data(), i);
+        wordset::setBit(out_busy_.data(), j);
+        any_busy = true;
         ++cbr_forwarded_;
     }
 
     // Phase 2: VBR matching over the remaining ports.
-    req_.clear();
-    for (PortId i = 0; i < n_ports_; ++i) {
-        if (in_busy_[static_cast<size_t>(i)])
-            continue;
-        const auto& buf = vbr_bufs_[static_cast<size_t>(i)];
-        if (buf.totalCells() == 0)
-            continue;
-        for (PortId j = 0; j < n_ports_; ++j) {
-            if (out_busy_[static_cast<size_t>(j)] ||
-                out_links_[static_cast<size_t>(j)] == nullptr)
-                continue;
-            int count = buf.cellCountFor(j);
-            if (count > 0)
-                req_.set(i, j, count);
-        }
-    }
-    vbr_matcher_->matchInto(req_, match_);
-    AN2_ASSERT(match_.isLegalFor(req_), "matcher returned illegal match");
+    if (any_busy)
+        vbr_.match(match_, in_busy_.data(), out_busy_.data());
+    else
+        vbr_.match(match_);
     for (PortId i = 0; i < n_ports_; ++i) {
         PortId j = match_.outputOf(i);
         if (j == kNoPort)
             continue;
-        Cell c = vbr_bufs_[static_cast<size_t>(i)].dequeueFor(j);
+        Cell c = vbr_.dequeue(i, j);
         c.frame_end_ps = frame_end;
         ++c.hops;
         out_links_[static_cast<size_t>(j)]->send(c, now);

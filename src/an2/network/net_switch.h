@@ -4,6 +4,11 @@
  * Slepian-Duguid frame schedule for CBR traffic, and a pluggable matcher
  * (PIM or statistical matching) for VBR traffic — the full AN2 switch of
  * §3-§5 embedded in a multi-hop topology.
+ *
+ * The VBR buffers, their persistent request matrix and the masked
+ * matching step are the shared VoqCore; this adapter adds routes, the
+ * CBR frame schedule, restoration, Appendix B occupancy statistics and
+ * link I/O. Outputs without a link are masked from every matching.
  */
 #ifndef AN2_NETWORK_NET_SWITCH_H
 #define AN2_NETWORK_NET_SWITCH_H
@@ -17,6 +22,7 @@
 #include "an2/matching/matcher.h"
 #include "an2/network/node.h"
 #include "an2/queueing/voq.h"
+#include "an2/sim/voq_core.h"
 
 namespace an2 {
 
@@ -182,12 +188,14 @@ class NetSwitch final : public NetNode
     int n_ports_;
     int frame_slots_;
     bool fifo_merge_;
-    std::unique_ptr<Matcher> vbr_matcher_;
+    /** VBR VOQs and their requests; CBR cells never request. */
+    VoqCore vbr_;
     SlepianDuguidScheduler cbr_;
     std::vector<NetLink*> in_links_;
     std::vector<NetLink*> out_links_;
+    /** Bit j set while output j has no link (never matched). */
+    std::vector<uint64_t> unlinked_out_;
     std::vector<InputBuffer> cbr_bufs_;
-    std::vector<InputBuffer> vbr_bufs_;
     /** Flow -> route, looked up per arriving cell (O(1), no tree walk). */
     FlatMap<Route> routes_;
     std::map<FlowId, int> flow_occupancy_;
@@ -203,9 +211,8 @@ class NetSwitch final : public NetNode
     int64_t restore_purged_ = 0;
     // Per-tick scratch, persistent so the slot loop never allocates.
     std::vector<Cell> arrivals_;
-    std::vector<uint8_t> in_busy_;
-    std::vector<uint8_t> out_busy_;
-    RequestMatrix req_;
+    std::vector<uint64_t> in_busy_;   ///< inputs claimed by CBR
+    std::vector<uint64_t> out_busy_;  ///< CBR-claimed or unlinked outputs
     Matching match_;
 };
 

@@ -172,8 +172,12 @@ class Recorder;
 
 #ifdef AN2_OBS_DISABLED
 
-/** Compiled out: probes fold to `if (nullptr)` and vanish. */
-constexpr Recorder*
+/**
+ * Compiled out: probes fold to `if (nullptr)` and vanish once inlined.
+ * Deliberately not constexpr: a constant null would reach the front
+ * end's -Wnonnull checks at every guarded `rec->...` call site.
+ */
+inline Recorder*
 current()
 {
     return nullptr;

@@ -101,13 +101,18 @@ class InputBuffer
      */
     Cell dequeueFlow(FlowId f);
 
+    /** Output the flow is bound to here, or kNoPort when it has no
+        queued or bound state. */
+    PortId flowOutput(FlowId f) const;
+
     /**
      * Repoint a flow at a new output (VBR rerouting). Queued cells are
      * retagged in FIFO order and the per-output counts, occupancy bits,
      * and eligible lists move with them; a no-op when the flow has no
      * state here or is already bound to `new_output`.
+     * @return the number of queued cells moved.
      */
-    void rebindFlow(FlowId f, PortId new_output);
+    int rebindFlow(FlowId f, PortId new_output);
 
     /**
      * Discard every queued cell of a flow (CBR path restoration: cells

@@ -1,34 +1,26 @@
 #include "an2/sim/cioq_switch.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "an2/base/error.h"
-#include "an2/matching/wordset.h"
 #include "an2/obs/recorder.h"
 
 namespace an2 {
 
 CioqSwitch::CioqSwitch(const CioqSwitchConfig& config,
                        std::unique_ptr<Matcher> matcher)
-    : config_(config), matcher_(std::move(matcher)), crossbar_(config.n),
-      req_(config.n),
+    : config_(config), core_(config.n, std::move(matcher), "CioqSwitch"),
+      crossbar_(config.n),
       out_q_(static_cast<size_t>(config.n) * kNumTrafficClasses),
       wrr_cls_(static_cast<size_t>(config.n), 0),
       wrr_credit_(static_cast<size_t>(config.n), 0),
-      match_(config.n, config.n),
-      mask_words_(wordset::numWords(config.n)),
-      dead_in_(static_cast<size_t>(mask_words_), 0),
-      dead_out_(static_cast<size_t>(mask_words_), 0)
+      match_(config.n, config.n)
 {
-    AN2_REQUIRE(config_.n > 0, "switch size must be positive");
     AN2_REQUIRE(config_.speedup >= 1 && config_.speedup <= 4,
                 "CIOQ speedup must be in 1..4, got " << config_.speedup);
-    AN2_REQUIRE(matcher_ != nullptr, "a matcher is required");
     for (int w : config_.wrr_weights)
         AN2_REQUIRE(w > 0, "WRR weights must be positive");
-    bufs_.reserve(static_cast<size_t>(config_.n));
-    for (int i = 0; i < config_.n; ++i)
-        bufs_.emplace_back(config_.n);
     for (PortId j = 0; j < config_.n; ++j)
         wrr_credit_[static_cast<size_t>(j)] = config_.wrr_weights[0];
     departed_.reserve(static_cast<size_t>(config_.n));
@@ -38,7 +30,7 @@ std::string
 CioqSwitch::name() const
 {
     std::ostringstream oss;
-    oss << "CIOQ[" << matcher_->name() << ",S=" << config_.speedup << ","
+    oss << "CIOQ[" << core_.matcher().name() << ",S=" << config_.speedup << ","
         << (config_.service == ServiceDiscipline::Strict ? "strict"
                                                          : "wrr")
         << "]";
@@ -46,62 +38,11 @@ CioqSwitch::name() const
 }
 
 void
-CioqSwitch::setInputPortLive(PortId i, bool live)
-{
-    AN2_REQUIRE(i >= 0 && i < config_.n,
-                "input port " << i << " out of range");
-    if (live)
-        wordset::clearBit(dead_in_.data(), i);
-    else
-        wordset::setBit(dead_in_.data(), i);
-    req_.setInputLive(i, live);
-    any_dead_ = wordset::popcountAll(dead_in_.data(), mask_words_) +
-                    wordset::popcountAll(dead_out_.data(), mask_words_) >
-                0;
-}
-
-void
-CioqSwitch::setOutputPortLive(PortId j, bool live)
-{
-    AN2_REQUIRE(j >= 0 && j < config_.n,
-                "output port " << j << " out of range");
-    if (live)
-        wordset::clearBit(dead_out_.data(), j);
-    else
-        wordset::setBit(dead_out_.data(), j);
-    req_.setOutputLive(j, live);
-    any_dead_ = wordset::popcountAll(dead_in_.data(), mask_words_) +
-                    wordset::popcountAll(dead_out_.data(), mask_words_) >
-                0;
-}
-
-bool
-CioqSwitch::inputPortLive(PortId i) const
-{
-    return !wordset::testBit(dead_in_.data(), i);
-}
-
-bool
-CioqSwitch::outputPortLive(PortId j) const
-{
-    return !wordset::testBit(dead_out_.data(), j);
-}
-
-void
 CioqSwitch::acceptCell(const Cell& cell)
 {
-    AN2_REQUIRE(cell.input >= 0 && cell.input < config_.n,
-                "cell input " << cell.input << " out of range");
-    if (any_dead_ && (wordset::testBit(dead_in_.data(), cell.input) ||
-                      wordset::testBit(dead_out_.data(), cell.output))) {
-        // Dead port: the cell is lost at the line card, not buffered.
-        checker_.noteDropped();
-        obs::count(obs::Counter::CellsDroppedByFaults);
+    if (!core_.admit(cell))
         return;
-    }
-    checker_.noteAccepted();
-    bufs_[static_cast<size_t>(cell.input)].enqueue(cell);
-    req_.increment(cell.input, cell.output);
+    core_.enqueue(cell);
     obs::cellEnqueued(cell);
 }
 
@@ -155,26 +96,20 @@ CioqSwitch::runSlot(SlotTime slot)
     int crossed = 0;
     int cbr_crossed = 0;
     for (int phase = 0; phase < config_.speedup; ++phase) {
-        if (req_.numEdges() == 0)
+        if (core_.requests().numEdges() == 0)
             break;
         obs::count(obs::Counter::SpeedupPhases);
         ++phases_run_;
-        matcher_->matchInto(req_, match_);
-        AN2_ASSERT(match_.isLegalFor(req_),
-                   "matcher returned illegal match");
+        core_.match(match_);
         if (match_.size() == 0)
             break;
-        if (any_dead_)
-            fault::InvariantChecker::checkMatchingAvoidsDead(
-                match_, dead_in_.data(), dead_out_.data(), "CioqSwitch");
         crossbar_.configure(match_);
         for (PortId i = 0; i < n; ++i) {
             PortId j = match_.outputOf(i);
             if (j == kNoPort)
                 continue;
-            Cell c = bufs_[static_cast<size_t>(i)].dequeueFor(j);
+            Cell c = core_.dequeue(i, j);
             obs::cellDequeued(c);
-            req_.decrement(i, j);
             crossbar_.forward(c);
             outQueue(j, c.cls).push_back(c);
             ++crossed;
@@ -186,30 +121,21 @@ CioqSwitch::runSlot(SlotTime slot)
     // Output service: one departure per live output per slot; a dead
     // output holds its queues until revival.
     departed_.clear();
-    for (PortId j = 0; j < n; ++j) {
-        if (any_dead_ && wordset::testBit(dead_out_.data(), j))
-            continue;
-        serveOutput(j);
-    }
+    for (PortId j = 0; j < n; ++j)
+        if (!core_.outputDead(j))
+            serveOutput(j);
 
     // Backlog high-water mark across all outputs (post-departure).
-    for (PortId j = 0; j < n; ++j) {
-        int64_t depth = 0;
-        for (int cls = 0; cls < kNumTrafficClasses; ++cls)
-            depth += static_cast<int64_t>(
-                outQueue(j, static_cast<TrafficClass>(cls)).size());
-        if (depth > out_hwm_)
-            out_hwm_ = depth;
-    }
+    for (PortId j = 0; j < n; ++j)
+        out_hwm_ = std::max<int64_t>(out_hwm_, outputBacklog(j));
 
-    checker_.noteDeparted(static_cast<int64_t>(departed_.size()));
-    checker_.checkConservation(bufferedCells(), "CioqSwitch");
+    core_.checkSlot(static_cast<int64_t>(departed_.size()), bufferedCells());
 
     if (obs::Recorder* rec = obs::current()) {
         rec->set(obs::Gauge::OutputQueueHwm, out_hwm_);
         rec->endSlot(crossed, cbr_crossed, crossed);
         if (rec->snapshotDue(slot))
-            takeSnapshot(*rec, slot);
+            takeSnapshot(*this, *rec, slot);
     }
     return departed_;
 }
@@ -217,53 +143,31 @@ CioqSwitch::runSlot(SlotTime slot)
 void
 CioqSwitch::runSlots(SlotTime first, SlotTime count, SlotDriver& driver)
 {
-    // Identical to the base loop, but compiled against the final class
-    // (see InputQueuedSwitch::runSlots).
-    for (SlotTime s = first; s < first + count; ++s) {
-        const std::vector<Cell>& arrivals = driver.beginSlot(s);
-        for (const Cell& c : arrivals)
-            acceptCell(c);
-        driver.endSlot(s, runSlot(s));
-    }
+    runSlotBatch(*this, first, count, driver);
+}
+
+int
+CioqSwitch::outputBacklog(PortId j) const
+{
+    int queued = 0;
+    for (int cls = 0; cls < kNumTrafficClasses; ++cls)
+        queued += static_cast<int>(
+            outQueue(j, static_cast<TrafficClass>(cls)).size());
+    return queued;
 }
 
 void
 CioqSwitch::fillOccupancy(int32_t* voq, int32_t* backlog) const
 {
-    const int n = config_.n;
-    for (PortId j = 0; j < n; ++j) {
-        int32_t queued = 0;
-        for (int cls = 0; cls < kNumTrafficClasses; ++cls)
-            queued += static_cast<int32_t>(
-                outQueue(j, static_cast<TrafficClass>(cls)).size());
-        backlog[j] = queued;
-    }
-    for (PortId i = 0; i < n; ++i) {
-        for (PortId j = 0; j < n; ++j) {
-            int32_t cells =
-                bufs_[static_cast<size_t>(i)].cellCountFor(j);
-            voq[static_cast<size_t>(i) * static_cast<size_t>(n) +
-                static_cast<size_t>(j)] = cells;
-            backlog[j] += cells;
-        }
-    }
-}
-
-void
-CioqSwitch::takeSnapshot(obs::Recorder& rec, SlotTime slot) const
-{
-    AN2_REQUIRE(rec.ports() == config_.n,
-                "recorder snapshot ports do not match the switch size");
-    fillOccupancy(rec.voqMatrix(), rec.outputBacklog());
-    rec.commitSnapshot(slot, bufferedCells());
+    for (PortId j = 0; j < config_.n; ++j)
+        backlog[j] = outputBacklog(j);
+    core_.fillOccupancy(voq, backlog);
 }
 
 int
 CioqSwitch::bufferedCells() const
 {
-    int total = 0;
-    for (const auto& b : bufs_)
-        total += b.totalCells();
+    int total = core_.bufferedCells();
     for (const auto& q : out_q_)
         total += static_cast<int>(q.size());
     return total;

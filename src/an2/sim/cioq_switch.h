@@ -14,16 +14,24 @@
  *     strict priority or deterministic weighted round-robin.
  *
  * With a maximal matcher and S = 2 the mean delay tracks the ideal
- * output-queued switch (the Cogill–Lall bound); S = 1 degenerates to an
- * input-queued switch with an output queue, S >= N would emulate output
- * queueing exactly.
+ * output-queued switch (the Cogill–Lall bound); S >= N would emulate
+ * output queueing exactly. At S = 1 under strict service, every cell
+ * that crosses departs in the same slot, so the switch leaves the same
+ * set of cells each slot as an InputQueuedSwitch with the same matcher
+ * seed and arrivals — for matchers that draw nothing on an empty
+ * request matrix (PIM, iSLIP). Two differences remain: a phase whose
+ * matrix has no edges is skipped without calling the matcher (the IQ
+ * switch calls it every slot), and departures are emitted in output
+ * order rather than input order.
  *
- * The request matrix is persistent (incremented on arrival, decremented
- * as cells cross), the output queues are preallocated rings, and every
- * per-slot scratch buffer is reused: steady-state runSlot() performs no
- * heap allocation. Dead ports follow the IQ switch's contract: arrivals
- * at dead ports are dropped at the line card, matchers never grant a
- * dead port, and a dead output holds its queues until revival.
+ * The VOQs, the persistent request matrix, the dead-port masks and the
+ * matching step are the shared VoqCore; this adapter adds the S-phase
+ * loop and the class queues. The output queues are preallocated rings
+ * and every per-slot scratch buffer is reused: steady-state runSlot()
+ * performs no heap allocation. Dead ports follow the IQ switch's
+ * contract: arrivals at dead ports are dropped at the line card,
+ * matchers never grant a dead port, and a dead output holds its queues
+ * until revival.
  */
 #ifndef AN2_SIM_CIOQ_SWITCH_H
 #define AN2_SIM_CIOQ_SWITCH_H
@@ -35,16 +43,10 @@
 
 #include "an2/base/ring.h"
 #include "an2/fabric/crossbar.h"
-#include "an2/fault/invariants.h"
-#include "an2/matching/matcher.h"
-#include "an2/queueing/voq.h"
 #include "an2/sim/switch.h"
+#include "an2/sim/voq_core.h"
 
 namespace an2 {
-
-namespace obs {
-class Recorder;
-}  // namespace obs
 
 /** How a CIOQ output picks among its class queues each slot. */
 enum class ServiceDiscipline : uint8_t {
@@ -84,20 +86,39 @@ class CioqSwitch final : public SwitchModel
     std::string name() const override;
     int size() const override { return config_.n; }
 
-    void setInputPortLive(PortId i, bool live) override;
-    void setOutputPortLive(PortId j, bool live) override;
-    bool inputPortLive(PortId i) const override;
-    bool outputPortLive(PortId j) const override;
-    int64_t droppedCells() const override { return checker_.dropped(); }
+    void setInputPortLive(PortId i, bool live) override
+    {
+        core_.setInputLive(i, live);
+    }
+
+    void setOutputPortLive(PortId j, bool live) override
+    {
+        core_.setOutputLive(j, live);
+    }
+
+    bool inputPortLive(PortId i) const override { return core_.inputLive(i); }
+
+    bool outputPortLive(PortId j) const override
+    {
+        return core_.outputLive(j);
+    }
+
+    int64_t droppedCells() const override
+    {
+        return core_.invariants().dropped();
+    }
 
     /** The per-slot invariant ledger (conservation totals). */
-    const fault::InvariantChecker& invariants() const { return checker_; }
+    const fault::InvariantChecker& invariants() const
+    {
+        return core_.invariants();
+    }
 
     /** The scheduler run each phase. */
-    Matcher& matcher() { return *matcher_; }
+    Matcher& matcher() { return core_.matcher(); }
 
     /** The persistent request matrix (patched incrementally). */
-    const RequestMatrix& requests() const { return req_; }
+    const RequestMatrix& requests() const { return core_.requests(); }
 
     /** Matching phases executed so far (<= speedup per slot). */
     int64_t phasesRun() const { return phases_run_; }
@@ -132,18 +153,13 @@ class CioqSwitch final : public SwitchModel
         class queue at j is empty. */
     bool serveOutput(PortId j);
 
-    /** Fill the recorder's VOQ/backlog scratch and commit one snapshot
-        line for `slot`. */
-    void takeSnapshot(obs::Recorder& rec, SlotTime slot) const;
+    /** Queued cells at output j, all classes. */
+    int outputBacklog(PortId j) const;
 
     CioqSwitchConfig config_;
-    std::unique_ptr<Matcher> matcher_;
-    std::vector<InputBuffer> bufs_;
+    /** VOQs for every class; count(i,j) spans all classes. */
+    VoqCore core_;
     Crossbar crossbar_;
-
-    /** count(i,j) = cells queued at input i for output j (all classes).
-        Incremented in acceptCell, decremented as cells cross. */
-    RequestMatrix req_;
 
     /** Per-output, per-class FIFO rings, class-major within an output. */
     std::vector<RingQueue<Cell>> out_q_;
@@ -156,13 +172,6 @@ class CioqSwitch final : public SwitchModel
     // Per-slot scratch, reused so steady-state slots never allocate.
     Matching match_;               ///< one phase's matching
     std::vector<Cell> departed_;   ///< runSlot return buffer
-
-    // Fault state, mirrored into req_'s liveness masks.
-    int mask_words_;
-    std::vector<uint64_t> dead_in_;
-    std::vector<uint64_t> dead_out_;
-    bool any_dead_ = false;
-    fault::InvariantChecker checker_;
 
     int64_t phases_run_ = 0;
     int64_t out_hwm_ = 0;

@@ -11,34 +11,27 @@ namespace an2 {
 InputQueuedSwitch::InputQueuedSwitch(const IqSwitchConfig& config,
                                      std::unique_ptr<Matcher> matcher,
                                      const FrameSchedule* cbr_schedule)
-    : config_(config), matcher_(std::move(matcher)),
-      cbr_schedule_(cbr_schedule), crossbar_(config.n), vbr_req_(config.n),
-      masked_req_(config.n), busy_words_(wordset::numWords(config.n)),
-      in_busy_(static_cast<size_t>(busy_words_), 0),
-      out_busy_(static_cast<size_t>(busy_words_), 0),
-      next_in_(static_cast<size_t>(busy_words_), 0),
-      next_out_(static_cast<size_t>(busy_words_), 0),
+    : config_(config),
+      core_(config.n, std::move(matcher), "InputQueuedSwitch"),
+      cbr_schedule_(cbr_schedule), crossbar_(config.n),
+      in_busy_(static_cast<size_t>(core_.maskWords()), 0),
+      out_busy_(static_cast<size_t>(core_.maskWords()), 0),
+      next_in_(static_cast<size_t>(core_.maskWords()), 0),
+      next_out_(static_cast<size_t>(core_.maskWords()), 0),
       vbr_match_(config.n, config.n),
       combined_(config.n, config.n, config.output_speedup),
-      pending_vbr_(config.n, config.n),
-      dead_in_(static_cast<size_t>(busy_words_), 0),
-      dead_out_(static_cast<size_t>(busy_words_), 0)
+      pending_vbr_(config.n, config.n)
 {
-    AN2_REQUIRE(config_.n > 0, "switch size must be positive");
     AN2_REQUIRE(config_.output_speedup >= 1, "speedup must be >= 1");
-    AN2_REQUIRE(matcher_ != nullptr, "a matcher is required");
     AN2_REQUIRE(config_.output_speedup == 1 || cbr_schedule_ == nullptr,
                 "output speedup cannot be combined with a CBR schedule");
     if (cbr_schedule_ != nullptr) {
         AN2_REQUIRE(cbr_schedule_->size() == config_.n,
                     "frame schedule size does not match switch");
     }
-    vbr_bufs_.reserve(static_cast<size_t>(config_.n));
     cbr_bufs_.reserve(static_cast<size_t>(config_.n));
-    for (int i = 0; i < config_.n; ++i) {
-        vbr_bufs_.emplace_back(config_.n);
+    for (int i = 0; i < config_.n; ++i)
         cbr_bufs_.emplace_back(config_.n);
-    }
     if (config_.output_speedup > 1)
         out_queues_.resize(static_cast<size_t>(config_.n));
     forwarded_.reserve(static_cast<size_t>(config_.n) *
@@ -49,7 +42,7 @@ std::string
 InputQueuedSwitch::name() const
 {
     std::ostringstream oss;
-    oss << "IQ[" << matcher_->name();
+    oss << "IQ[" << core_.matcher().name();
     if (config_.output_speedup > 1)
         oss << ",speedup=" << config_.output_speedup;
     if (cbr_schedule_ != nullptr)
@@ -61,71 +54,19 @@ InputQueuedSwitch::name() const
 }
 
 void
-InputQueuedSwitch::setInputPortLive(PortId i, bool live)
-{
-    AN2_REQUIRE(i >= 0 && i < config_.n,
-                "input port " << i << " out of range");
-    if (live)
-        wordset::clearBit(dead_in_.data(), i);
-    else
-        wordset::setBit(dead_in_.data(), i);
-    vbr_req_.setInputLive(i, live);
-    any_dead_ = wordset::popcountAll(dead_in_.data(), busy_words_) +
-                    wordset::popcountAll(dead_out_.data(), busy_words_) >
-                0;
-}
-
-void
-InputQueuedSwitch::setOutputPortLive(PortId j, bool live)
-{
-    AN2_REQUIRE(j >= 0 && j < config_.n,
-                "output port " << j << " out of range");
-    if (live)
-        wordset::clearBit(dead_out_.data(), j);
-    else
-        wordset::setBit(dead_out_.data(), j);
-    vbr_req_.setOutputLive(j, live);
-    any_dead_ = wordset::popcountAll(dead_in_.data(), busy_words_) +
-                    wordset::popcountAll(dead_out_.data(), busy_words_) >
-                0;
-}
-
-bool
-InputQueuedSwitch::inputPortLive(PortId i) const
-{
-    return !wordset::testBit(dead_in_.data(), i);
-}
-
-bool
-InputQueuedSwitch::outputPortLive(PortId j) const
-{
-    return !wordset::testBit(dead_out_.data(), j);
-}
-
-void
 InputQueuedSwitch::acceptCell(const Cell& cell)
 {
-    AN2_REQUIRE(cell.input >= 0 && cell.input < config_.n,
-                "cell input " << cell.input << " out of range");
-    if (any_dead_ && (wordset::testBit(dead_in_.data(), cell.input) ||
-                      wordset::testBit(dead_out_.data(), cell.output))) {
-        // Dead port: the cell is lost at the line card, not buffered.
-        checker_.noteDropped();
+    if (!core_.admit(cell)) {
         if (cell.cls == TrafficClass::CBR)
             ++cbr_cells_lost_;
-        obs::count(obs::Counter::CellsDroppedByFaults);
         return;
     }
-    checker_.noteAccepted();
     if (cell.cls == TrafficClass::CBR) {
         AN2_REQUIRE(cbr_schedule_ != nullptr,
                     "CBR cell arrived at a switch with no frame schedule");
         cbr_bufs_[static_cast<size_t>(cell.input)].enqueue(cell);
     } else {
-        vbr_bufs_[static_cast<size_t>(cell.input)].enqueue(cell);
-        // Patch the persistent request matrix; the matching dequeue-side
-        // decrement happens in forwardVbr().
-        vbr_req_.increment(cell.input, cell.output);
+        core_.enqueue(cell);
     }
     obs::cellEnqueued(cell);
 }
@@ -141,8 +82,7 @@ InputQueuedSwitch::serveCbr(SlotTime slot)
             continue;
         // A reservation whose schedule has not yet been repaired may
         // still pair a dead port; it cannot be served.
-        if (any_dead_ && (wordset::testBit(dead_in_.data(), i) ||
-                          wordset::testBit(dead_out_.data(), j)))
+        if (core_.pairDead(i, j))
             continue;
         auto& buf = cbr_bufs_[static_cast<size_t>(i)];
         if (!buf.hasCellFor(j))
@@ -172,8 +112,7 @@ InputQueuedSwitch::predictCbrBusy(SlotTime slot)
         PortId j = cbr_schedule_->outputAt(fs, i);
         if (j == kNoPort || !cbr_bufs_[static_cast<size_t>(i)].hasCellFor(j))
             continue;
-        if (any_dead_ && (wordset::testBit(dead_in_.data(), i) ||
-                          wordset::testBit(dead_out_.data(), j)))
+        if (core_.pairDead(i, j))
             continue;  // dead pairing cannot claim ports next slot
         wordset::setBit(next_in_.data(), i);
         wordset::setBit(next_out_.data(), j);
@@ -187,32 +126,23 @@ InputQueuedSwitch::computeVbrMatch(const uint64_t* in_busy,
                                    const uint64_t* out_busy, bool any_busy,
                                    Matching& out)
 {
-    const RequestMatrix* req = &vbr_req_;
-    if (any_busy) {
-        // Copy-assign reuses masked_req_'s capacity (same dimensions
-        // every slot), then strip the CBR-claimed ports.
-        masked_req_ = vbr_req_;
-        wordset::forEachSet(in_busy, busy_words_,
-                            [&](int i) { masked_req_.clearRow(i); });
-        wordset::forEachSet(out_busy, busy_words_,
-                            [&](int j) { masked_req_.clearColumn(j); });
-        req = &masked_req_;
-        if (obs::Recorder* rec = obs::current())
-            rec->cbrMasked(wordset::popcountAll(in_busy, busy_words_),
-                           wordset::popcountAll(out_busy, busy_words_));
+    if (!any_busy) {
+        core_.match(out);
+        return;
     }
-    matcher_->matchInto(*req, out);
-    AN2_ASSERT(out.isLegalFor(*req), "matcher returned illegal match");
+    if (obs::Recorder* rec = obs::current())
+        rec->cbrMasked(wordset::popcountAll(in_busy, core_.maskWords()),
+                       wordset::popcountAll(out_busy, core_.maskWords()));
+    core_.match(out, in_busy, out_busy);
 }
 
 void
 InputQueuedSwitch::forwardVbr(SlotTime slot, PortId i, PortId j)
 {
-    AN2_ASSERT(vbr_bufs_[static_cast<size_t>(i)].hasCellFor(j),
+    AN2_ASSERT(core_.input(i).hasCellFor(j),
                "pipelined matching references a vanished cell");
-    Cell c = vbr_bufs_[static_cast<size_t>(i)].dequeueFor(j);
+    Cell c = core_.dequeue(i, j);
     obs::cellDequeued(c);
-    vbr_req_.decrement(i, j);
     ++vbr_forwarded_;
     if (cbr_schedule_ != nullptr) {
         int fs = static_cast<int>(slot % cbr_schedule_->frameSlots());
@@ -232,8 +162,8 @@ InputQueuedSwitch::runSlot(SlotTime slot)
     // Phase 1: CBR service from the frame schedule.
     bool cbr_busy = false;
     if (cbr_schedule_ != nullptr) {
-        wordset::clearAll(in_busy_.data(), busy_words_);
-        wordset::clearAll(out_busy_.data(), busy_words_);
+        wordset::clearAll(in_busy_.data(), core_.maskWords());
+        wordset::clearAll(out_busy_.data(), core_.maskWords());
         cbr_busy = serveCbr(slot) > 0;
     }
     const size_t n_cbr = forwarded_.size();
@@ -266,8 +196,7 @@ InputQueuedSwitch::runSlot(SlotTime slot)
                 continue;
             // A port killed after the matching was computed (mask flip
             // mid-pipeline) invalidates its pairings.
-            if (any_dead_ && (wordset::testBit(dead_in_.data(), i) ||
-                              wordset::testBit(dead_out_.data(), j)))
+            if (core_.pairDead(i, j))
                 continue;
             combined_.add(i, j);
             forwardVbr(slot, i, j);
@@ -285,8 +214,8 @@ InputQueuedSwitch::runSlot(SlotTime slot)
     if (config_.pipelined) {
         bool any_next = false;
         if (cbr_schedule_ != nullptr) {
-            wordset::clearAll(next_in_.data(), busy_words_);
-            wordset::clearAll(next_out_.data(), busy_words_);
+            wordset::clearAll(next_in_.data(), core_.maskWords());
+            wordset::clearAll(next_out_.data(), core_.maskWords());
             any_next = predictCbrBusy(slot + 1);
         }
         computeVbrMatch(next_in_.data(), next_out_.data(), any_next,
@@ -299,23 +228,21 @@ InputQueuedSwitch::runSlot(SlotTime slot)
     const std::vector<Cell>* result = &forwarded_;
     if (config_.output_speedup > 1) {
         for (const Cell& c : forwarded_)
-            out_queues_[static_cast<size_t>(c.output)].push(c);
+            out_queues_[static_cast<size_t>(c.output)].push_back(c);
         departed_.clear();
         for (auto& q : out_queues_) {
-            q.noteOccupancy();
-            if (!q.empty())
-                departed_.push_back(q.pop());
+            if (q.empty())
+                continue;
+            departed_.push_back(q.front());
+            q.pop_front();
         }
         result = &departed_;
     }
 
     // Always-on invariants: the crossbar setting never touches a dead
     // port, and the conservation ledger balances every slot.
-    if (any_dead_)
-        fault::InvariantChecker::checkMatchingAvoidsDead(
-            combined_, dead_in_.data(), dead_out_.data(), "InputQueuedSwitch");
-    checker_.noteDeparted(static_cast<int64_t>(result->size()));
-    checker_.checkConservation(bufferedCells(), "InputQueuedSwitch");
+    core_.checkAvoidsDead(combined_);
+    core_.checkSlot(static_cast<int64_t>(result->size()), bufferedCells());
 
     // Slot-boundary probes; the periodic snapshot samples the post-slot
     // queue state.
@@ -324,7 +251,7 @@ InputQueuedSwitch::runSlot(SlotTime slot)
                      static_cast<int>(n_cbr),
                      combined_.size() - static_cast<int>(n_cbr));
         if (rec->snapshotDue(slot))
-            takeSnapshot(*rec, slot);
+            takeSnapshot(*this, *rec, slot);
     }
     return *result;
 }
@@ -333,16 +260,7 @@ void
 InputQueuedSwitch::runSlots(SlotTime first, SlotTime count,
                             SlotDriver& driver)
 {
-    // Identical to the base loop, but compiled against the final class:
-    // the per-cell acceptCell calls and the runSlot body are direct
-    // (inlinable) calls here, so a k-slot batch pays one virtual
-    // dispatch instead of ~arrivals+1 per slot.
-    for (SlotTime s = first; s < first + count; ++s) {
-        const std::vector<Cell>& arrivals = driver.beginSlot(s);
-        for (const Cell& c : arrivals)
-            acceptCell(c);
-        driver.endSlot(s, runSlot(s));
-    }
+    runSlotBatch(*this, first, count, driver);
 }
 
 void
@@ -354,33 +272,21 @@ InputQueuedSwitch::fillOccupancy(int32_t* voq, int32_t* backlog) const
                          ? 0
                          : static_cast<int32_t>(
                                out_queues_[static_cast<size_t>(j)].size());
+    core_.fillOccupancy(voq, backlog);
     for (PortId i = 0; i < n; ++i) {
         for (PortId j = 0; j < n; ++j) {
-            int32_t cells =
-                vbr_bufs_[static_cast<size_t>(i)].cellCountFor(j) +
-                cbr_bufs_[static_cast<size_t>(i)].cellCountFor(j);
+            int32_t cells = cbr_bufs_[static_cast<size_t>(i)].cellCountFor(j);
             voq[static_cast<size_t>(i) * static_cast<size_t>(n) +
-                static_cast<size_t>(j)] = cells;
+                static_cast<size_t>(j)] += cells;
             backlog[j] += cells;
         }
     }
 }
 
-void
-InputQueuedSwitch::takeSnapshot(obs::Recorder& rec, SlotTime slot) const
-{
-    AN2_REQUIRE(rec.ports() == config_.n,
-                "recorder snapshot ports do not match the switch size");
-    fillOccupancy(rec.voqMatrix(), rec.outputBacklog());
-    rec.commitSnapshot(slot, bufferedCells());
-}
-
 int
 InputQueuedSwitch::bufferedCells() const
 {
-    int total = 0;
-    for (const auto& b : vbr_bufs_)
-        total += b.totalCells();
+    int total = core_.bufferedCells();
     // CBR cells can only be accepted when a frame schedule is present,
     // so the CBR buffers are provably empty otherwise (and this runs
     // twice per slot on the conservation-check path).
@@ -388,7 +294,7 @@ InputQueuedSwitch::bufferedCells() const
         for (const auto& b : cbr_bufs_)
             total += b.totalCells();
     for (const auto& q : out_queues_)
-        total += q.size();
+        total += static_cast<int>(q.size());
     return total;
 }
 

@@ -15,11 +15,11 @@
  * With output_speedup k > 1 (replicated fabric, §3.1) up to k cells reach
  * an output per slot and drain through an output queue at one per slot.
  *
- * The scheduling input is a persistent RequestMatrix patched as cells
- * arrive and depart (one increment per enqueue, one decrement per
- * dequeue), mirroring the hardware's per-port-pair request wires; the
- * O(N^2) per-slot rebuild of earlier revisions is gone, and steady-state
- * runSlot() performs no heap allocation.
+ * The VBR buffers, their persistent request matrix, the dead-port masks
+ * and the masked matching step are the shared VoqCore; this adapter adds
+ * the CBR schedule, pipelining and output speedup. The matcher runs
+ * every slot, even on an empty matrix. Steady-state runSlot() performs
+ * no heap allocation.
  */
 #ifndef AN2_SIM_IQ_SWITCH_H
 #define AN2_SIM_IQ_SWITCH_H
@@ -28,19 +28,13 @@
 #include <memory>
 #include <vector>
 
+#include "an2/base/ring.h"
 #include "an2/cbr/frame_schedule.h"
 #include "an2/fabric/crossbar.h"
-#include "an2/fault/invariants.h"
-#include "an2/matching/matcher.h"
-#include "an2/queueing/output_queue.h"
-#include "an2/queueing/voq.h"
 #include "an2/sim/switch.h"
+#include "an2/sim/voq_core.h"
 
 namespace an2 {
-
-namespace obs {
-class Recorder;
-}  // namespace obs
 
 /** Configuration for an InputQueuedSwitch. */
 struct IqSwitchConfig
@@ -87,17 +81,36 @@ class InputQueuedSwitch final : public SwitchModel
     std::string name() const override;
     int size() const override { return config_.n; }
 
-    void setInputPortLive(PortId i, bool live) override;
-    void setOutputPortLive(PortId j, bool live) override;
-    bool inputPortLive(PortId i) const override;
-    bool outputPortLive(PortId j) const override;
-    int64_t droppedCells() const override { return checker_.dropped(); }
+    void setInputPortLive(PortId i, bool live) override
+    {
+        core_.setInputLive(i, live);
+    }
+
+    void setOutputPortLive(PortId j, bool live) override
+    {
+        core_.setOutputLive(j, live);
+    }
+
+    bool inputPortLive(PortId i) const override { return core_.inputLive(i); }
+
+    bool outputPortLive(PortId j) const override
+    {
+        return core_.outputLive(j);
+    }
+
+    int64_t droppedCells() const override
+    {
+        return core_.invariants().dropped();
+    }
 
     /** CBR cells among droppedCells() (lost reserved traffic). */
     int64_t cbrCellsLost() const { return cbr_cells_lost_; }
 
     /** The per-slot invariant ledger (conservation totals). */
-    const fault::InvariantChecker& invariants() const { return checker_; }
+    const fault::InvariantChecker& invariants() const
+    {
+        return core_.invariants();
+    }
 
     /** CBR cells forwarded so far. */
     int64_t cbrForwarded() const { return cbr_forwarded_; }
@@ -112,10 +125,10 @@ class InputQueuedSwitch final : public SwitchModel
     const Crossbar& crossbar() const { return crossbar_; }
 
     /** The VBR scheduler. */
-    Matcher& matcher() { return *matcher_; }
+    Matcher& matcher() { return core_.matcher(); }
 
     /** The persistent VBR request matrix (patched incrementally). */
-    const RequestMatrix& vbrRequests() const { return vbr_req_; }
+    const RequestMatrix& vbrRequests() const { return core_.requests(); }
 
     /** Real VOQ occupancy (VBR + CBR buffers, plus speedup output
         queues in the backlog). */
@@ -140,29 +153,15 @@ class InputQueuedSwitch final : public SwitchModel
     void computeVbrMatch(const uint64_t* in_busy, const uint64_t* out_busy,
                          bool any_busy, Matching& out);
 
-    /** Fill the recorder's VOQ/backlog scratch with the current queue
-        state and commit one snapshot line for `slot`. */
-    void takeSnapshot(obs::Recorder& rec, SlotTime slot) const;
-
     IqSwitchConfig config_;
-    std::unique_ptr<Matcher> matcher_;
+    /** VBR VOQs and their requests; CBR cells never request. */
+    VoqCore core_;
     const FrameSchedule* cbr_schedule_;
-    std::vector<InputBuffer> vbr_bufs_;
     std::vector<InputBuffer> cbr_bufs_;
-    std::vector<OutputQueue> out_queues_;  ///< used when speedup > 1
+    std::vector<RingQueue<Cell>> out_queues_;  ///< used when speedup > 1
     Crossbar crossbar_;
 
-    /**
-     * Requests for the VBR scheduler: count(i,j) = VBR cells queued at
-     * input i for output j. Incremented in acceptCell, decremented as
-     * cells cross the fabric — never rebuilt.
-     */
-    RequestMatrix vbr_req_;
-    /** Scratch copy of vbr_req_ with CBR-claimed ports cleared. */
-    RequestMatrix masked_req_;
-
     // Per-slot scratch, reused so steady-state slots never allocate.
-    int busy_words_;                   ///< words per port bitmask
     std::vector<uint64_t> in_busy_;    ///< inputs claimed by CBR
     std::vector<uint64_t> out_busy_;   ///< outputs claimed by CBR
     std::vector<uint64_t> next_in_;    ///< predicted busy, next slot
@@ -176,12 +175,6 @@ class InputQueuedSwitch final : public SwitchModel
     Matching pending_vbr_;
     bool has_pending_ = false;
 
-    // Fault state: dead-port bitmasks mirrored into vbr_req_'s liveness,
-    // plus the always-on conservation ledger.
-    std::vector<uint64_t> dead_in_;
-    std::vector<uint64_t> dead_out_;
-    bool any_dead_ = false;
-    fault::InvariantChecker checker_;
     int64_t cbr_cells_lost_ = 0;
 
     int64_t cbr_forwarded_ = 0;

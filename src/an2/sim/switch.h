@@ -43,6 +43,24 @@ class SlotDriver
                          const std::vector<Cell>& departed) = 0;
 };
 
+/**
+ * The batched slot loop behind SwitchModel::runSlots. A `final` switch
+ * instantiates it on its own class, so the per-cell acceptCell() calls
+ * and the runSlot() body are direct (inlinable) calls and a k-slot batch
+ * pays one virtual dispatch instead of ~arrivals+1 per slot.
+ */
+template <class Switch>
+void
+runSlotBatch(Switch& sw, SlotTime first, SlotTime count, SlotDriver& driver)
+{
+    for (SlotTime s = first; s < first + count; ++s) {
+        const std::vector<Cell>& arrivals = driver.beginSlot(s);
+        for (const Cell& c : arrivals)
+            sw.acceptCell(c);
+        driver.endSlot(s, sw.runSlot(s));
+    }
+}
+
 /** Abstract N x N switch architecture under test. */
 class SwitchModel
 {
@@ -64,19 +82,13 @@ class SwitchModel
     /**
      * Run `count` consecutive slots starting at `first`, pulling each
      * slot's arrivals from `driver` and handing its departures back —
-     * semantically identical to the acceptCell()/runSlot() loop below.
-     * Final implementations override this so the per-cell accept calls
-     * and the slot body devirtualize inside one virtual dispatch per
-     * batch instead of several per slot.
+     * semantically identical to an acceptCell()/runSlot() loop. Final
+     * implementations override this with runSlotBatch(*this, ...) so
+     * their slot internals devirtualize inside the batch.
      */
     virtual void runSlots(SlotTime first, SlotTime count, SlotDriver& driver)
     {
-        for (SlotTime s = first; s < first + count; ++s) {
-            const std::vector<Cell>& arrivals = driver.beginSlot(s);
-            for (const Cell& c : arrivals)
-                acceptCell(c);
-            driver.endSlot(s, runSlot(s));
-        }
+        runSlotBatch(*this, first, count, driver);
     }
 
     /** Cells currently buffered anywhere in the switch. */

@@ -5,13 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "an2/base/error.h"
+#include "an2/matching/islip.h"
+#include "an2/matching/pim.h"
 #include "an2/matching/serial_greedy.h"
 #include "an2/obs/recorder.h"
+#include "an2/sim/iq_switch.h"
 #include "an2/sim/oq_switch.h"
 #include "an2/sim/simulator.h"
 #include "an2/sim/traffic.h"
@@ -325,6 +331,121 @@ TEST(CioqSwitchTest, MaskedFaultRunStaysConservative)
     EXPECT_GT(sw->droppedCells(), 0);
     EXPECT_EQ(injected,
               delivered + sw->bufferedCells() + sw->droppedCells());
+}
+
+// ------------------------------------------- S = 1 versus the IQ switch
+
+/** Forwards to a wrapped matcher, counting every call. */
+class CountingMatcher final : public Matcher
+{
+  public:
+    CountingMatcher(std::unique_ptr<Matcher> inner, int* calls)
+        : inner_(std::move(inner)), calls_(calls)
+    {
+    }
+
+    Matching match(const RequestMatrix& req) override
+    {
+        ++*calls_;
+        return inner_->match(req);
+    }
+
+    void matchInto(const RequestMatrix& req, Matching& out) override
+    {
+        ++*calls_;
+        inner_->matchInto(req, out);
+    }
+
+    std::string name() const override { return inner_->name(); }
+
+  private:
+    std::unique_ptr<Matcher> inner_;
+    int* calls_;
+};
+
+/** A slot's departures as a sorted list of cell identities. */
+std::vector<std::tuple<PortId, PortId, FlowId, int64_t>>
+departureSet(const std::vector<Cell>& departed)
+{
+    std::vector<std::tuple<PortId, PortId, FlowId, int64_t>> set;
+    for (const Cell& c : departed)
+        set.emplace_back(c.input, c.output, c.flow, c.seq);
+    std::sort(set.begin(), set.end());
+    return set;
+}
+
+TEST(CioqSwitchTest, SpeedupOneStrictLeavesTheSameCellsAsIq)
+{
+    // At S = 1 under strict service every crossing cell departs in its
+    // own slot, so with the same matcher seed and arrivals the CIOQ
+    // switch must emit the same set of cells as the IQ switch, slot by
+    // slot. PIM and iSLIP draw nothing on an empty request matrix, so
+    // CIOQ's skipped empty phases do not shift their state.
+    const int n = 16;
+    const std::vector<
+        std::pair<const char*, std::function<std::unique_ptr<Matcher>()>>>
+        matchers = {
+            {"PIM(4)",
+             [] {
+                 return std::make_unique<PimMatcher>(
+                     PimConfig{.iterations = 4, .seed = 11});
+             }},
+            {"iSLIP(4)", [] { return std::make_unique<IslipMatcher>(4); }},
+        };
+    for (const auto& [label, make] : matchers) {
+        for (double load : {0.1, 0.9}) {
+            InputQueuedSwitch iq(IqSwitchConfig{.n = n}, make());
+            CioqSwitchConfig cfg;
+            cfg.n = n;
+            cfg.speedup = 1;
+            cfg.service = ServiceDiscipline::Strict;
+            CioqSwitch cioq(cfg, make());
+            UniformTraffic iq_traffic(n, load, 29);
+            UniformTraffic cioq_traffic(n, load, 29);
+            std::vector<Cell> arrivals;
+            int64_t departed = 0;
+            for (SlotTime slot = 0; slot < 5'000; ++slot) {
+                arrivals.clear();
+                iq_traffic.generate(slot, arrivals);
+                for (const Cell& c : arrivals)
+                    iq.acceptCell(c);
+                arrivals.clear();
+                cioq_traffic.generate(slot, arrivals);
+                for (const Cell& c : arrivals)
+                    cioq.acceptCell(c);
+                auto iq_set = departureSet(iq.runSlot(slot));
+                auto cioq_set = departureSet(cioq.runSlot(slot));
+                ASSERT_EQ(iq_set, cioq_set)
+                    << label << " load " << load << " slot " << slot;
+                departed += static_cast<int64_t>(iq_set.size());
+            }
+            EXPECT_GT(departed, 0) << label << " load " << load;
+            EXPECT_EQ(iq.bufferedCells(), cioq.bufferedCells())
+                << label << " load " << load;
+        }
+    }
+}
+
+TEST(CioqSwitchTest, EmptySlotSkipsTheMatcherWhereIqCallsIt)
+{
+    // The one call-rule difference between the two adapters: the IQ
+    // switch runs its matcher every slot, CIOQ skips a phase whose
+    // request matrix has no edges.
+    int iq_calls = 0;
+    int cioq_calls = 0;
+    InputQueuedSwitch iq(
+        IqSwitchConfig{.n = 4},
+        std::make_unique<CountingMatcher>(
+            std::make_unique<IslipMatcher>(4), &iq_calls));
+    CioqSwitchConfig cfg;
+    cfg.n = 4;
+    cfg.speedup = 1;
+    CioqSwitch cioq(cfg, std::make_unique<CountingMatcher>(
+                             std::make_unique<IslipMatcher>(4), &cioq_calls));
+    EXPECT_TRUE(iq.runSlot(0).empty());
+    EXPECT_TRUE(cioq.runSlot(0).empty());
+    EXPECT_EQ(iq_calls, 1);
+    EXPECT_EQ(cioq_calls, 0);
 }
 
 // ------------------------------------------------------------------ obs

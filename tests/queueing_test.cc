@@ -1,11 +1,10 @@
-// Tests for the queueing substrates: per-flow FIFOs, the random-access
-// input buffer with eligible-flow lists, and output queues.
+// Tests for the queueing substrates: the random-access input buffer with
+// eligible-flow lists, and the FIFO ring behind every per-flow and
+// output queue.
 #include <gtest/gtest.h>
 
 #include "an2/base/ring.h"
 #include "an2/matching/wordset.h"
-#include "an2/queueing/flow_queue.h"
-#include "an2/queueing/output_queue.h"
 #include "an2/queueing/voq.h"
 
 namespace an2 {
@@ -20,34 +19,6 @@ makeCell(FlowId flow, PortId input, PortId output, int64_t seq)
     c.output = output;
     c.seq = seq;
     return c;
-}
-
-// ----------------------------------------------------------- FlowQueue
-
-TEST(FlowQueueTest, FifoOrder)
-{
-    FlowQueue q;
-    for (int s = 0; s < 5; ++s)
-        q.push(makeCell(0, 0, 0, s));
-    EXPECT_EQ(q.size(), 5);
-    for (int s = 0; s < 5; ++s)
-        EXPECT_EQ(q.pop().seq, s);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(FlowQueueTest, FrontDoesNotPop)
-{
-    FlowQueue q;
-    q.push(makeCell(0, 0, 0, 7));
-    EXPECT_EQ(q.front().seq, 7);
-    EXPECT_EQ(q.size(), 1);
-}
-
-TEST(FlowQueueTest, EmptyAccessPanics)
-{
-    FlowQueue q;
-    EXPECT_THROW(q.front(), InternalError);
-    EXPECT_THROW(q.pop(), InternalError);
 }
 
 // ---------------------------------------------------------- InputBuffer
@@ -172,27 +143,6 @@ TEST(InputBufferTest, DequeueFlowWithoutCellRejected)
     EXPECT_THROW(buf.dequeueFlow(3), UsageError);
 }
 
-// ---------------------------------------------------------- OutputQueue
-
-TEST(OutputQueueTest, FifoAndOccupancy)
-{
-    OutputQueue q;
-    for (int s = 0; s < 4; ++s)
-        q.push(makeCell(0, 0, 0, s));
-    q.noteOccupancy();
-    EXPECT_EQ(q.size(), 4);
-    EXPECT_EQ(q.maxOccupancy(), 4);
-    EXPECT_EQ(q.pop().seq, 0);
-    q.noteOccupancy();
-    EXPECT_EQ(q.maxOccupancy(), 4);  // peak is sticky
-}
-
-TEST(OutputQueueTest, PopEmptyPanics)
-{
-    OutputQueue q;
-    EXPECT_THROW(q.pop(), InternalError);
-}
-
 // ------------------------------------------------- InputBuffer occupancy
 
 TEST(InputBufferTest, OccupancyMaskTracksQueuedOutputs)
@@ -271,6 +221,18 @@ TEST(RingQueueTest, ClearResetsWithoutShrinking)
     EXPECT_TRUE(q.empty());
     q.push_back(42);
     EXPECT_EQ(q.front(), 42);
+}
+
+TEST(RingQueueTest, PopEmptyPanics)
+{
+    RingQueue<Cell> q;
+    EXPECT_THROW(q.pop_front(), InternalError);
+    EXPECT_THROW(q.front(), InternalError);
+    // Drained storage stays allocated; the guard is the size, not the
+    // buffer.
+    q.push_back(makeCell(0, 0, 0, 1));
+    q.pop_front();
+    EXPECT_THROW(q.pop_front(), InternalError);
 }
 
 }  // namespace
