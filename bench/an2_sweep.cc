@@ -1,9 +1,11 @@
 /**
  * @file
  * an2_sweep — run any registered experiment sweep on the parallel
- * deterministic harness and emit a table plus optional an2.sweep.v1
- * JSON (`--json`). The JSON is byte-identical for any `--threads`
- * value; see EXPERIMENTS.md for the schema and the seeding scheme.
+ * deterministic harness and emit a table, the experiment's paper checks
+ * (Figure 3's 13 us claim, Figure 5's PIM(4)-vs-complete gap, ...) and
+ * optional an2.sweep.v1 JSON (`--json`). The JSON is byte-identical for
+ * any `--threads` value; see EXPERIMENTS.md for the schema and the
+ * seeding scheme.
  *
  *     an2_sweep --list
  *     an2_sweep --experiment fig3 --threads 8 --json BENCH_fig3.json
@@ -31,11 +33,11 @@ main(int argc, char** argv)
     std::string err;
     if (!parseSweepCli(argc, argv, cli, err)) {
         std::fprintf(stderr, "error: %s\n", err.c_str());
-        printSweepCliHelp(argv[0], /*with_experiment=*/true);
+        printSweepCliHelp(argv[0]);
         return 2;
     }
     if (cli.help) {
-        printSweepCliHelp(argv[0], /*with_experiment=*/true);
+        printSweepCliHelp(argv[0]);
         return 0;
     }
     if (cli.list) {
@@ -85,8 +87,11 @@ main(int argc, char** argv)
     try {
         harness::SweepResult res = runSweepWithProgress(spec, cli.threads);
         auto cells = harness::aggregate(spec, res);
-        if (table)
+        if (table) {
             printDelayTable(spec, cells);
+            if (exp->summary)
+                exp->summary(spec, cells);
+        }
         if (!cli.json_path.empty() &&
             !writeSweepJson(cli.json_path, spec, cells))
             return 1;

@@ -42,7 +42,7 @@ makePim(int iterations, uint64_t seed, int output_capacity = 1,
     return std::make_unique<PimMatcher>(cfg);
 }
 
-/** Canonical load sweep used by the Figure 3/4/5 benches. */
+/** Canonical load axis of the Figure 3/4/5 and speedup sweeps. */
 inline const double kLoadSweep[] = {0.20, 0.40, 0.60, 0.70, 0.80,
                                     0.90, 0.95, 0.99};
 inline constexpr int kLoadSweepSize = 8;

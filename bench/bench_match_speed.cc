@@ -16,7 +16,6 @@
 #include "an2/matching/hopcroft_karp.h"
 #include "an2/matching/islip.h"
 #include "an2/matching/pim.h"
-#include "an2/matching/pim_fast.h"
 #include "an2/matching/serial_greedy.h"
 #include "an2/matching/statistical.h"
 
@@ -71,14 +70,6 @@ BM_Pim4(benchmark::State& state)
     runMatcherBench(state, [](int) {
         return std::make_unique<PimMatcher>(
             PimConfig{.iterations = 4, .seed = 7});
-    });
-}
-
-void
-BM_FastPim4(benchmark::State& state)
-{
-    runMatcherBench(state, [](int) {
-        return std::make_unique<FastPimMatcher>(4, 7);
     });
 }
 
@@ -208,14 +199,6 @@ BM_GreedyWarm(benchmark::State& state)
 }
 
 void
-BM_FastPim4Warm(benchmark::State& state)
-{
-    runChurnBench(state, [](int) {
-        return std::make_unique<FastPimMatcher>(4, 7, WarmStart::On);
-    });
-}
-
-void
 BM_Statistical2(benchmark::State& state)
 {
     runMatcherBench(state, [](int n) {
@@ -232,7 +215,6 @@ BM_Statistical2(benchmark::State& state)
 // 64); the reference cores are benchmarked alongside at the sizes where
 // their O(N^2) scans stay tolerable.
 BENCHMARK(BM_Pim4)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(BM_FastPim4)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_PimComplete)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_Islip4)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_Greedy)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
@@ -246,7 +228,6 @@ BENCHMARK(BM_Islip4Churn)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_Islip4Warm)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_GreedyChurn)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_GreedyWarm)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(BM_FastPim4Warm)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 }  // namespace
 

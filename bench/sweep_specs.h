@@ -1,9 +1,10 @@
 /**
  * @file
  * Harness sweep specifications for the paper's delay-vs-load experiments
- * (Figures 3-5), shared by the `an2_sweep` CLI and the per-figure bench
- * binaries, plus the small command-line vocabulary they all speak
- * (`--json`, `--threads`, `--replicates`, ...).
+ * (Figures 3-5) and the studies built on them, registered for the
+ * `an2_sweep` CLI together with the paper checks each prints, plus the
+ * small command-line vocabulary it speaks (`--json`, `--threads`,
+ * `--replicates`, ...).
  */
 #ifndef AN2_BENCH_SWEEP_SPECS_H
 #define AN2_BENCH_SWEEP_SPECS_H
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "an2/base/types.h"
 #include "an2/fault/injector.h"
 #include "an2/harness/aggregate.h"
 #include "an2/harness/cli.h"
@@ -226,23 +228,82 @@ speedupSpec()
     return spec;
 }
 
+/** Cell lookup by (arch name, load); size defaults to the spec's first. */
+inline const harness::CellSummary*
+findCell(const std::vector<harness::CellSummary>& cells,
+         const std::string& arch, double load)
+{
+    for (const harness::CellSummary& c : cells)
+        if (c.arch == arch && c.load == load)
+            return &c;
+    return nullptr;
+}
+
+// ---------------------------------------------------------------------------
+// Paper checks printed under the delay table. Each looks its cells up by
+// arch name and stays silent when a flag (--loads, --arch) removed them.
+
+/** Figure 3: FIFO throughput (saturation) and the 13 us claim at 95%. */
+inline void
+fig3Summary(const harness::SweepSpec& spec,
+            const std::vector<harness::CellSummary>& cells)
+{
+    if (findCell(cells, "FIFO", spec.loads.front())) {
+        std::printf("\n  load  [FIFO tput]\n");
+        for (double load : spec.loads)
+            std::printf("  %4.2f      %5.3f\n", load,
+                        findCell(cells, "FIFO", load)->throughput.mean);
+        std::printf("  (FIFO delay at loads beyond ~0.6 grows with"
+                    " simulation length: saturated.)\n");
+    }
+    if (const harness::CellSummary* pim = findCell(cells, "PIM(4)", 0.95))
+        std::printf("\n  PIM(4) delay at 95%% load: %.1f slots = %.1f us at"
+                    " 1 Gb/s (paper: < 13 us)\n",
+                    pim->mean_delay.mean, slotsToMicros(pim->mean_delay.mean));
+}
+
+/** Figure 4: the qualitative ordering the paper reports. */
+inline void
+fig4Summary(const harness::SweepSpec&, const std::vector<harness::CellSummary>&)
+{
+    std::printf("\n  Expected: FIFO head-of-line limited; PIM close to"
+                " OutputQ (closer than Fig 3).\n");
+}
+
+/** Figure 5: four iterations vs running to completion at 99% load. */
+inline void
+fig5Summary(const harness::SweepSpec&,
+            const std::vector<harness::CellSummary>& cells)
+{
+    const harness::CellSummary* pim4 = findCell(cells, "PIM(4)", 0.99);
+    const harness::CellSummary* piminf = findCell(cells, "PIM(inf)", 0.99);
+    if (pim4 && piminf)
+        std::printf("\n  PIM(4) vs PIM(complete) at 99%% load: %.2f vs"
+                    " %.2f slots (paper: within 0.5%%)\n",
+                    pim4->mean_delay.mean, piminf->mean_delay.mean);
+}
+
 /** Registry entry for `an2_sweep --experiment NAME`. */
 struct Experiment
 {
     const char* name;
     const char* blurb;
     harness::SweepSpec (*make)();
+    /** Paper check printed after the delay table; null for none. */
+    void (*summary)(const harness::SweepSpec&,
+                    const std::vector<harness::CellSummary>&) = nullptr;
 };
 
 inline const std::vector<Experiment>&
 experiments()
 {
     static const std::vector<Experiment> kExperiments = {
-        {"fig3", "Figure 3: FIFO vs PIM(4) vs OutputQ, uniform", fig3Spec},
+        {"fig3", "Figure 3: FIFO vs PIM(4) vs OutputQ, uniform", fig3Spec,
+         fig3Summary},
         {"fig4", "Figure 4: FIFO vs PIM(4) vs OutputQ, client-server",
-         fig4Spec},
+         fig4Spec, fig4Summary},
         {"fig5", "Figure 5: PIM iterations 1..4/inf vs FIFO, uniform",
-         fig5Spec},
+         fig5Spec, fig5Summary},
         {"latdist",
          "latency distributions: PIM(1)/PIM(4)/iSLIP(4), uniform",
          latdistSpec},
@@ -264,7 +325,7 @@ findExperiment(const std::string& name)
 
 // ---------------------------------------------------------------------------
 // Shared command line — the strict parser lives in an2/harness/cli.h;
-// re-exported here so the bench binaries keep their unqualified names.
+// re-exported here so the bench code keeps its unqualified names.
 
 using harness::SweepCli;
 using harness::applyCli;
@@ -321,17 +382,6 @@ runSweepWithProgress(const harness::SweepSpec& spec, int threads,
     std::fprintf(stderr, "  %zu runs in %.2f s on %d thread(s)\n",
                  res.grid.size(), secs, res.threads_used);
     return res;
-}
-
-/** Cell lookup by (arch name, load); size defaults to the spec's first. */
-inline const harness::CellSummary*
-findCell(const std::vector<harness::CellSummary>& cells,
-         const std::string& arch, double load)
-{
-    for (const harness::CellSummary& c : cells)
-        if (c.arch == arch && c.load == load)
-            return &c;
-    return nullptr;
 }
 
 /** Print the classic delay-vs-load table (archs as columns) from cells. */

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Build an2sim, run the full test suite, and regenerate every paper
 # table/figure (writes test_output.txt and bench_output.txt at the repo
-# root). Experiments ported onto the sweep harness additionally emit
-# machine-readable an2.sweep.v1 JSON, merged into BENCH_sweeps.json.
+# root). The registry experiments run through an2_sweep and emit
+# machine-readable an2.sweep.v1 JSON: Figures 3-5 merged into
+# BENCH_sweeps.json, speedup into BENCH_speedup.json.
 # Usage: scripts/run_experiments.sh [build-dir]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,19 +21,23 @@ cmake --build "$BUILD" -j"$THREADS"
 
 ctest --test-dir "$BUILD" 2>&1 | tee test_output.txt
 
-# Harness sweeps: parallel execution plus one JSON trace per experiment
-# (deterministic — identical bytes for any THREADS value). netscale runs
-# whole networks on the sharded engine; its JSON is likewise identical
-# for any thread count and engine choice.
-SWEEPS=(fig3 fig4 fig5 netscale)
+# Harness sweeps for Figures 3-5: parallel execution plus one JSON trace
+# per experiment (deterministic — identical bytes for any THREADS
+# value), merged into BENCH_sweeps.json below. The tables carry the
+# paper checks (the 13 us claim, PIM(4) vs PIM(complete)).
+SWEEPS=(fig3 fig4 fig5)
 mkdir -p "$BUILD/sweeps"
 for exp in "${SWEEPS[@]}"; do
     "$BUILD/bench/an2_sweep" --experiment "$exp" --threads "$THREADS" \
         --json "$BUILD/sweeps/$exp.json"
-done
+done | tee "$BUILD/sweeps/tables.txt"
 
-# Deterministic network-scale throughput vs the committed baseline
-# (warn-only; see scripts/check_bench.py).
+# netscale runs whole networks on the sharded engine; its JSON is
+# likewise identical for any thread count and engine choice. Checked
+# against its own committed baseline, BENCH_netscale.json (warn-only;
+# see scripts/check_bench.py).
+"$BUILD/bench/an2_sweep" --experiment netscale --threads "$THREADS" \
+    --json "$BUILD/sweeps/netscale.json"
 python3 scripts/check_bench.py "$BUILD/sweeps/netscale.json"
 
 # CIOQ speedup study (Cogill-Lall): greedy maximal matching at crossbar
@@ -87,7 +92,7 @@ if [ -e "$BUILD/sweeps/chaos_blackbox.json" ]; then
     exit 1
 fi
 
-# Merge the per-experiment documents into one trajectory file.
+# Merge the Figure 3-5 documents into one trajectory file.
 if command -v jq > /dev/null; then
     jq -s '{schema: "an2.sweeps.v1", sweeps: .}' \
         $(for e in "${SWEEPS[@]}"; do echo "$BUILD/sweeps/$e.json"; done) \
@@ -99,6 +104,7 @@ else
 fi
 
 {
+    cat "$BUILD/sweeps/tables.txt"
     for b in "$BUILD"/bench/bench_*; do
         [ -x "$b" ] && "$b"
     done

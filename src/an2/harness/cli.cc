@@ -9,14 +9,12 @@
 namespace an2::harness {
 
 void
-printSweepCliHelp(const char* prog, bool with_experiment)
+printSweepCliHelp(const char* prog)
 {
     std::printf("usage: %s [options]\n", prog);
-    if (with_experiment) {
-        std::printf("  --experiment NAME   experiment to run "
-                    "(--list shows them)\n");
-        std::printf("  --list              list available experiments\n");
-    }
+    std::printf("  --experiment NAME   experiment to run "
+                "(--list shows them)\n");
+    std::printf("  --list              list available experiments\n");
     std::printf("  --json PATH         write results as an2.sweep.v1 JSON\n");
     std::printf("  --threads N         worker threads "
                 "(default: hardware concurrency;\n"
@@ -62,38 +60,36 @@ printSweepCliHelp(const char* prog, bool with_experiment)
                 "concrete\n"
                 "                      fault plan and enables CBR path "
                 "restoration\n");
-    if (with_experiment) {
-        std::printf("  --trace FILE        after the sweep, re-run one grid "
-                    "point with probes\n"
-                    "                      attached and write an an2.trace.v1 "
-                    "Chrome trace\n");
-        std::printf("  --trace-arch NAME   architecture to observe (default: "
-                    "first PIM arch)\n");
-        std::printf("  --trace-capacity N  event-ring capacity "
-                    "(default 65536, drop-oldest)\n");
-        std::printf("  --snapshot FILE     write an2.snapshot.v1 JSON-lines "
-                    "(VOQ heatmap,\n"
-                    "                      backlog, match-size histogram)\n");
-        std::printf("  --snapshot-every K  slots between snapshots "
-                    "(default 1000)\n");
-        std::printf("  --metrics FILE      write an an2.metrics.v1 JSON-lines "
-                    "time series\n"
-                    "                      for the observed run (counters, "
-                    "gauges, latency\n"
-                    "                      p50/p99/p999 per traffic class)\n");
-        std::printf("  --metrics-every K   slots between metrics samples "
-                    "(default 1000;\n"
-                    "                      network experiments default to one "
-                    "frame)\n");
-        std::printf("  --metrics-prom FILE write a Prometheus-style text "
-                    "exposition of the\n"
-                    "                      observed run's final state\n");
-        std::printf("  --blackbox FILE     arm the flight recorder: dump an "
-                    "an2.blackbox.v1\n"
-                    "                      post-mortem on invariant failure "
-                    "or scripted\n"
-                    "                      port/link death\n");
-    }
+    std::printf("  --trace FILE        after the sweep, re-run one grid "
+                "point with probes\n"
+                "                      attached and write an an2.trace.v1 "
+                "Chrome trace\n");
+    std::printf("  --trace-arch NAME   architecture to observe (default: "
+                "first PIM arch)\n");
+    std::printf("  --trace-capacity N  event-ring capacity "
+                "(default 65536, drop-oldest)\n");
+    std::printf("  --snapshot FILE     write an2.snapshot.v1 JSON-lines "
+                "(VOQ heatmap,\n"
+                "                      backlog, match-size histogram)\n");
+    std::printf("  --snapshot-every K  slots between snapshots "
+                "(default 1000)\n");
+    std::printf("  --metrics FILE      write an an2.metrics.v1 JSON-lines "
+                "time series\n"
+                "                      for the observed run (counters, "
+                "gauges, latency\n"
+                "                      p50/p99/p999 per traffic class)\n");
+    std::printf("  --metrics-every K   slots between metrics samples "
+                "(default 1000;\n"
+                "                      network experiments default to one "
+                "frame)\n");
+    std::printf("  --metrics-prom FILE write a Prometheus-style text "
+                "exposition of the\n"
+                "                      observed run's final state\n");
+    std::printf("  --blackbox FILE     arm the flight recorder: dump an "
+                "an2.blackbox.v1\n"
+                "                      post-mortem on invariant failure "
+                "or scripted\n"
+                "                      port/link death\n");
     std::printf("  --help              this message\n");
 }
 

@@ -1,8 +1,7 @@
 /**
  * @file
- * The command-line vocabulary shared by `an2_sweep` and the
- * harness-backed bench binaries (`--json`, `--threads`, `--replicates`,
- * `--faults`, ...).
+ * The command-line vocabulary of `an2_sweep` (`--json`, `--threads`,
+ * `--replicates`, `--faults`, ...).
  *
  * Parsing is strict: an unknown flag or a malformed numeric value is an
  * error naming the offending token, never a silent zero (the atoi-based
@@ -25,10 +24,10 @@
 
 namespace an2::harness {
 
-/** Options common to `an2_sweep` and the harness-backed bench binaries. */
+/** Options of `an2_sweep`, for switch and network experiments alike. */
 struct SweepCli
 {
-    std::string experiment;       ///< an2_sweep only
+    std::string experiment;       ///< registry name (--list shows them)
     std::string json_path;        ///< write sweep JSON here if non-empty
     int threads = 0;              ///< 0 = hardware concurrency
     int replicates = 0;           ///< 0 = keep spec default
@@ -88,7 +87,7 @@ struct SweepCli
 };
 
 /** Print the option summary for `prog` to stdout. */
-void printSweepCliHelp(const char* prog, bool with_experiment);
+void printSweepCliHelp(const char* prog);
 
 /**
  * Parse a comma-separated load list (each in (0, 1]) into `out`.

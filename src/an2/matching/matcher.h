@@ -41,7 +41,7 @@ enum class MatcherBackend {
  * algorithm (reused edges skip re-arbitration), so the knob defaults to
  * Off and every existing sweep/golden stays byte-identical.
  *
- * Supported by IslipMatcher, SerialGreedyMatcher, and FastPimMatcher.
+ * Supported by IslipMatcher and SerialGreedyMatcher.
  * PimMatcher deliberately has no warm mode: its word-parallel backend's
  * contract is exact RNG-draw replay of the reference core, and a warm
  * seed would change which draws are consumed.

@@ -3,7 +3,6 @@
 // graceful handling of degenerate patterns — across a common sweep.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
@@ -13,7 +12,6 @@
 #include "an2/matching/hopcroft_karp.h"
 #include "an2/matching/islip.h"
 #include "an2/matching/pim.h"
-#include "an2/matching/pim_fast.h"
 #include "an2/matching/serial_greedy.h"
 #include "an2/matching/statistical.h"
 
@@ -67,9 +65,6 @@ allFactories()
                       cfg.seed = 5;
                       return std::make_unique<StatisticalMatcher>(alloc,
                                                                   cfg);
-                  }});
-    fs.push_back({"fast_pim", [](int) {
-                      return std::make_unique<FastPimMatcher>(4, 6);
                   }});
     fs.push_back({"stat_plus_pim", [](int n) {
                       Matrix<int> alloc(n, n, 1000 / n);
@@ -196,7 +191,7 @@ TEST_P(MatcherConformanceTest, RepeatedCallsStayLegal)
 
 INSTANTIATE_TEST_SUITE_P(
     AllMatchers, MatcherConformanceTest,
-    ::testing::Combine(::testing::Range(0, 10),  // factory index
+    ::testing::Combine(::testing::Range(0, 9),  // factory index
                        ::testing::Values(2, 5, 8, 16, 80)),
     [](const ::testing::TestParamInfo<::testing::tuple<int, int>>& info) {
         return allFactories()[static_cast<size_t>(
@@ -495,60 +490,6 @@ TEST(MaskedMatcherConformance, BackendsAgreeUnderRandomMasks)
                                              std::to_string(t));
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FastPIM (the standalone bitmask matcher) deliberately skips PRNG draws
-// for singleton sets, so it is statistically — not byte — equivalent to
-// PimMatcher: same legality/maximality guarantees and the same matching
-// size distribution over many seeded trials.
-// ---------------------------------------------------------------------------
-
-TEST(FastPimParity, LegalAndMaximalManyTrials)
-{
-    for (int n : {16, 80, 128}) {
-        FastPimMatcher fast(0, static_cast<uint64_t>(50 + n));
-        Xoshiro256 rng(static_cast<uint64_t>(60 + n));
-        for (int t = 0; t < 1000; ++t) {
-            auto req = RequestMatrix::bernoulli(n, 0.3, rng);
-            Matching m = fast.match(req);
-            ASSERT_TRUE(m.isLegalFor(req)) << "n=" << n << " t=" << t;
-            ASSERT_TRUE(m.isMaximalFor(req)) << "n=" << n << " t=" << t;
-        }
-    }
-}
-
-TEST(FastPimParity, MatchSizeDistributionTracksReference)
-{
-    // Identical request streams; compare the distribution of matching
-    // sizes (mean and second moment) over >= 1000 trials at several N.
-    for (int n : {16, 48, 80}) {
-        constexpr int kTrials = 1500;
-        PimMatcher ref(PimConfig{.iterations = 4,
-                                 .seed = static_cast<uint64_t>(70 + n)});
-        FastPimMatcher fast(4, static_cast<uint64_t>(80 + n));
-        Xoshiro256 rng_a(static_cast<uint64_t>(90 + n));
-        Xoshiro256 rng_b(static_cast<uint64_t>(90 + n));
-        double ref_sum = 0, ref_sq = 0, fast_sum = 0, fast_sq = 0;
-        for (int t = 0; t < kTrials; ++t) {
-            auto req_a = RequestMatrix::bernoulli(n, 0.25, rng_a);
-            auto req_b = RequestMatrix::bernoulli(n, 0.25, rng_b);
-            double r = ref.match(req_a).size();
-            double f = fast.match(req_b).size();
-            ref_sum += r;
-            ref_sq += r * r;
-            fast_sum += f;
-            fast_sq += f * f;
-        }
-        double ref_mean = ref_sum / kTrials;
-        double fast_mean = fast_sum / kTrials;
-        EXPECT_NEAR(fast_mean, ref_mean, 0.05 * n) << "n=" << n;
-        double ref_var = ref_sq / kTrials - ref_mean * ref_mean;
-        double fast_var = fast_sq / kTrials - fast_mean * fast_mean;
-        EXPECT_NEAR(std::sqrt(fast_var + 1), std::sqrt(ref_var + 1),
-                    0.5)
-            << "n=" << n;
     }
 }
 

@@ -1,8 +1,8 @@
 // Backend conformance for the obs probe layer: the Reference and
 // WordParallel matcher cores must report byte-identical per-iteration
 // counters and MatchIter event sequences on seeded runs. (The matchings
-// themselves are already pinned identical by matcher_conformance_test
-// and pim_fast_test; this suite pins the *instrumentation*.)
+// themselves are already pinned identical by matcher_conformance_test;
+// this suite pins the *instrumentation*.)
 #include <gtest/gtest.h>
 
 #include <functional>

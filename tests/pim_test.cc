@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "an2/matching/hopcroft_karp.h"
 
@@ -42,15 +43,60 @@ TEST(PimTest, PermutationRequestsFullyMatchedInOneIteration)
     EXPECT_EQ(m.size(), 8);
 }
 
+// Both PIM cores: the scalar reference and the word-parallel one.
+constexpr MatcherBackend kBackends[] = {MatcherBackend::Reference,
+                                        MatcherBackend::WordParallel};
+
 TEST(PimTest, RunToCompletionIsMaximal)
 {
-    PimMatcher pim(PimConfig{.iterations = 0, .seed = 9});
-    Xoshiro256 rng(4);
-    for (int trial = 0; trial < 50; ++trial) {
-        auto req = RequestMatrix::bernoulli(16, 0.4, rng);
-        Matching m = pim.match(req);
-        EXPECT_TRUE(m.isLegalFor(req));
-        EXPECT_TRUE(m.isMaximalFor(req));
+    // 65 crosses the one-word mask boundary; 1024 is the word core's
+    // largest switch.
+    for (MatcherBackend backend : kBackends) {
+        for (auto [n, p, trials] :
+             {std::tuple{16, 0.4, 50}, std::tuple{65, 0.1, 10},
+              std::tuple{256, 0.1, 4}, std::tuple{1024, 0.1, 2}}) {
+            PimMatcher pim(PimConfig{
+                .iterations = 0, .seed = 9, .backend = backend});
+            Xoshiro256 rng(4);
+            for (int trial = 0; trial < trials; ++trial) {
+                auto req = RequestMatrix::bernoulli(n, p, rng);
+                Matching m = pim.match(req);
+                EXPECT_TRUE(m.isLegalFor(req)) << "n=" << n;
+                EXPECT_TRUE(m.isMaximalFor(req)) << "n=" << n;
+            }
+        }
+    }
+}
+
+TEST(PimTest, GrantAndAcceptAreUniform)
+{
+    // One output requested by four inputs: each input wins ~1/4 of the
+    // slots (random grant). One input granted by four outputs: each
+    // output is accepted ~1/4 of the slots (random accept).
+    constexpr int kSlots = 40'000;
+    for (MatcherBackend backend : kBackends) {
+        for (bool column : {true, false}) {
+            PimMatcher pim(PimConfig{
+                .iterations = 1, .seed = 8, .backend = backend});
+            RequestMatrix req(4);
+            for (PortId k = 0; k < 4; ++k) {
+                if (column)
+                    req.set(k, 0, 1);
+                else
+                    req.set(0, k, 1);
+            }
+            std::vector<int> wins(4, 0);
+            for (int s = 0; s < kSlots; ++s) {
+                Matching m = pim.match(req);
+                ASSERT_EQ(m.size(), 1);
+                ++wins[static_cast<size_t>(column ? m.inputOf(0)
+                                                  : m.outputOf(0))];
+            }
+            for (int w : wins)
+                EXPECT_NEAR(w / static_cast<double>(kSlots), 0.25, 0.01)
+                    << (column ? "grant" : "accept") << ", backend "
+                    << static_cast<int>(backend);
+        }
     }
 }
 
@@ -99,14 +145,20 @@ TEST(PimTest, AppendixAWorstCasePattern)
 {
     // All outputs grant to inputs that all request everything: the
     // adversarial full matrix. Run to completion must still produce the
-    // full (maximum) match, since the request graph is complete.
-    PimMatcher pim(PimConfig{.iterations = 0, .seed = 21});
-    RequestMatrix req(16);
-    for (PortId i = 0; i < 16; ++i)
-        for (PortId j = 0; j < 16; ++j)
-            req.set(i, j, 1);
-    Matching m = pim.match(req);
-    EXPECT_EQ(m.size(), 16);
+    // full (maximum) match, since the request graph is complete. At 64
+    // ports every mask word is all ones.
+    for (MatcherBackend backend : kBackends) {
+        for (int n : {16, 64}) {
+            PimMatcher pim(PimConfig{
+                .iterations = 0, .seed = 21, .backend = backend});
+            RequestMatrix req(n);
+            for (PortId i = 0; i < n; ++i)
+                for (PortId j = 0; j < n; ++j)
+                    req.set(i, j, 1);
+            Matching m = pim.match(req);
+            EXPECT_EQ(m.size(), n);
+        }
+    }
 }
 
 TEST(PimTest, AverageIterationsWithinAppendixABound)

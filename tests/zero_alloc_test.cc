@@ -1,9 +1,9 @@
 // Verifies the hot-path guarantee: after warmup, InputQueuedSwitch's
 // runSlot() performs zero heap allocations. A global counting operator
-// new tracks every allocation; allocations are counted only inside the
-// runSlot() calls themselves (arrival-side enqueues may legitimately
-// grow buffers). This test must stay in its own binary: the replacement
-// operator new is program-wide.
+// new (plain and nothrow) tracks every allocation; allocations are
+// counted only inside the runSlot() calls themselves (arrival-side
+// enqueues may legitimately grow buffers). This test must stay in its
+// own binary: the replacement operator new is program-wide.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -53,8 +53,35 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
+// The nothrow forms too: std::stable_sort takes its buffer from
+// operator new(nothrow), and the replacement operator delete frees it.
+void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
+void*
+operator new[](std::size_t size, const std::nothrow_t&) noexcept
+{
+    return ::operator new(size, std::nothrow);
+}
+
 void
 operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, const std::nothrow_t&) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, const std::nothrow_t&) noexcept
 {
     std::free(p);
 }
