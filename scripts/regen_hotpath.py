@@ -25,6 +25,7 @@ wall-clock and machine-dependent by design; compare ratios.
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -63,6 +64,20 @@ def run_grid(binary):
                                for x in cells}:
                     cells.append(c)
     return cells
+
+
+def host_identity():
+    """CPU model and online core count: rates only compare on one host."""
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {"cpu_model": model, "nproc": os.cpu_count()}
 
 
 def base_arch(arch):
@@ -107,12 +122,14 @@ def main():
             "description": (
                 "Committed hot-path baseline: whole-switch slots/sec on "
                 "the uniform Bernoulli workload over a size x load grid, "
-                "before and after the warm-start incremental matching + "
-                "batched slot driver work. Warm rows are compared "
-                "against the cold base architecture on the same "
-                "workload. Wall-clock rates; machine-dependent -- "
-                "compare ratios, not absolutes."),
+                "before and after the change named in EXPERIMENTS.md "
+                "('Performance methodology'). Rows of an arch "
+                "only the after binary has are compared against its "
+                "base architecture on the same workload. Wall-clock "
+                "rates; machine-dependent -- compare ratios, not "
+                "absolutes."),
             "produced_by": "scripts/regen_hotpath.py",
+            "host": host_identity(),
             "workload": {
                 "schema": "an2.sweep.v1",
                 "experiment": "slot_loop",

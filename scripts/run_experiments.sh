@@ -105,8 +105,10 @@ fi
 
 {
     cat "$BUILD/sweeps/tables.txt"
-    for b in "$BUILD"/bench/bench_*; do
-        [ -x "$b" ] && "$b"
+    # One run per bench source in the tree, so a binary left behind in a
+    # reused build dir by a since-deleted target never runs.
+    for src in bench/bench_*.cc; do
+        "$BUILD/bench/$(basename "$src" .cc)"
     done
 } 2>&1 | tee bench_output.txt
 

@@ -196,7 +196,9 @@ detach()
 #else
 
 namespace detail {
-extern thread_local Recorder* tls_recorder;
+/** constinit: the initializer is constant, so every read is a plain TLS
+    load rather than a call through the compiler's TLS init wrapper. */
+extern thread_local constinit Recorder* tls_recorder;
 }  // namespace detail
 
 /** The Recorder observing this thread, or nullptr (the common case). */

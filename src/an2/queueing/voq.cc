@@ -1,15 +1,24 @@
 #include "an2/queueing/voq.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "an2/base/error.h"
-#include "an2/matching/wordset.h"
 
 namespace an2 {
+
+namespace {
+
+/** Nodes in a fresh arena: small enough that a lightly loaded buffer
+    stays small, large enough that warm-up settles its size quickly. */
+constexpr size_t kArenaStart = 8;
+
+}  // namespace
 
 InputBuffer::InputBuffer(int n_outputs)
     : n_outputs_(n_outputs), flow_index_(n_outputs),
       eligible_(static_cast<size_t>(n_outputs)),
-      per_output_(static_cast<size_t>(n_outputs)),
-      occ_(static_cast<size_t>(wordset::numWords(n_outputs)), 0)
+      per_output_(static_cast<size_t>(n_outputs))
 {
     AN2_REQUIRE(n_outputs > 0, "input buffer needs at least one output");
 }
@@ -26,27 +35,138 @@ InputBuffer::flowSlot(FlowId f)
     return idx - 1;
 }
 
+InputBuffer::Fifo&
+InputBuffer::fifoOf(int32_t s)
+{
+    PerFlow& st = slots_[static_cast<size_t>(s)];
+    if (st.output != kNoPort) {
+        PerOutput& po = per_output_[static_cast<size_t>(st.output)];
+        if (po.sole == s + 1)
+            return po.fifo;
+    }
+    return st.fifo;
+}
+
+const InputBuffer::Fifo&
+InputBuffer::fifoOf(int32_t s) const
+{
+    return const_cast<InputBuffer*>(this)->fifoOf(s);
+}
+
+void
+InputBuffer::pushBack(Fifo& q, const Cell& cell)
+{
+    int32_t n = free_;
+    if (n != kNil) {
+        Node& node = arena_[static_cast<size_t>(n)];
+        free_ = node.next;
+        node.cell = cell;
+        node.next = kNil;
+    } else {
+        // Every node is in use: grow geometrically from a small start.
+        if (arena_.size() == arena_.capacity()) {
+            AN2_REQUIRE(arena_.size() <
+                            static_cast<size_t>(
+                                std::numeric_limits<int32_t>::max() / 2),
+                        "input buffer arena exceeds 32-bit handles");
+            arena_.reserve(std::max(kArenaStart, 2 * arena_.capacity()));
+        }
+        n = static_cast<int32_t>(arena_.size());
+        arena_.push_back(Node{cell, kNil});
+    }
+    if (q.tail == kNil)
+        q.head = n;
+    else
+        arena_[static_cast<size_t>(q.tail)].next = n;
+    q.tail = n;
+}
+
+Cell
+InputBuffer::popFront(Fifo& q)
+{
+    AN2_ASSERT(!q.empty(), "pop from an empty flow FIFO");
+    const int32_t n = q.head;
+    Node& node = arena_[static_cast<size_t>(n)];
+    q.head = node.next;
+    if (q.head == kNil)
+        q.tail = kNil;
+    node.next = free_;
+    free_ = n;
+    return node.cell;
+}
+
 void
 InputBuffer::reconcileSole(PerOutput& po, PortId j)
 {
     AN2_ASSERT(po.sole > 0, "reconcile on an output that is not single-flow");
-    PerFlow& prev = slots_[static_cast<size_t>(po.sole - 1)];
-    const bool should = !prev.cells.empty();
-    if (prev.eligible_listed != should) {
-        auto& list = eligible_[static_cast<size_t>(j)];
-        if (should) {
-            list.push_back(po.sole - 1);
-        } else {
-            // The direct paths froze the flow's seat from its first
-            // enqueue; a single-flow output's ring holds nothing else.
-            AN2_ASSERT(list.size() == 1 && list.front() == po.sole - 1,
-                       "single-flow eligible ring out of sync for output "
-                           << j);
-            list.pop_front();
-        }
-        prev.eligible_listed = should;
+    const int32_t s = po.sole - 1;
+    PerFlow& prev = slots_[static_cast<size_t>(s)];
+    auto& list = eligible_[static_cast<size_t>(j)];
+    // The direct paths never list the sole flow, and a single-flow
+    // output's ring holds nothing else.
+    AN2_ASSERT(!prev.eligible_listed && prev.fifo.empty() && list.empty(),
+               "single-flow state out of sync for output " << j);
+    prev.fifo = po.fifo;
+    po.fifo = Fifo{};
+    if (!prev.fifo.empty()) {
+        list.push_back(s);
+        prev.eligible_listed = true;
     }
     po.sole = -1;
+    po.sole_flow = kNoFlow;
+}
+
+void
+InputBuffer::bind(int32_t s, PortId j, Fifo fifo)
+{
+    PerFlow& st = slots_[static_cast<size_t>(s)];
+    PerOutput& po = per_output_[static_cast<size_t>(j)];
+    st.output = j;
+    if (po.sole == 0) {
+        po.sole = s + 1;
+        po.sole_flow = st.flow;
+        po.fifo = fifo;
+        return;
+    }
+    if (po.sole > 0)
+        reconcileSole(po, j);  // second flow for this output
+    st.fifo = fifo;
+    if (!fifo.empty()) {
+        eligible_[static_cast<size_t>(j)].push_back(s);
+        st.eligible_listed = true;
+    }
+}
+
+void
+InputBuffer::unlist(PerFlow& st, int32_t s, PortId j)
+{
+    RingQueue<int32_t>& list = eligible_[static_cast<size_t>(j)];
+    for (size_t i = 0, sz = list.size(); i < sz; ++i) {
+        int32_t x = list.front();
+        list.pop_front();
+        if (x != s)
+            list.push_back(x);
+    }
+    st.eligible_listed = false;
+}
+
+InputBuffer::Fifo
+InputBuffer::unbind(int32_t s)
+{
+    PerFlow& st = slots_[static_cast<size_t>(s)];
+    PerOutput& po = per_output_[static_cast<size_t>(st.output)];
+    if (st.eligible_listed)
+        unlist(st, s, st.output);
+    Fifo fifo = st.fifo;
+    if (po.sole == s + 1) {
+        fifo = po.fifo;  // the output loses its only flow
+        po.sole = 0;
+        po.sole_flow = kNoFlow;
+        po.fifo = Fifo{};
+    }
+    st.fifo = Fifo{};
+    st.output = kNoPort;  // next enqueue binds fresh
+    return fifo;
 }
 
 void
@@ -62,36 +182,29 @@ InputBuffer::enqueueAs(FlowId queue_key, const Cell& cell)
                 "cell routed to invalid output " << cell.output);
     AN2_REQUIRE(queue_key != kNoFlow, "cell has no queue key");
     PerOutput& po = per_output_[static_cast<size_t>(cell.output)];
-    if (po.sole > 0) {
-        PerFlow& st = slots_[static_cast<size_t>(po.sole - 1)];
-        if (st.flow == queue_key) {
-            // Direct: the output's only flow. Its eligible seat from the
-            // first enqueue still stands, so no list maintenance.
-            st.cells.push_back(cell);
-            ++total_cells_;
-            if (++po.cells == 1)
-                wordset::setBit(occ_.data(), cell.output);
-            return;
-        }
+    if (po.sole > 0 && po.sole_flow == queue_key) {
+        // Direct: the output's only flow, whose FIFO lives right here.
+        pushBack(po.fifo, cell);
+        ++po.cells;
+        ++total_cells_;
+        return;
     }
     const int32_t slot = flowSlot(queue_key);
     PerFlow& st = slots_[static_cast<size_t>(slot)];
     // All cells of a flow take the same path (paper §2): the routing
     // table maps each flow to exactly one output.
-    if (st.output == kNoPort) {
-        st.output = cell.output;
-        if (po.sole == 0)
-            po.sole = slot + 1;
-        else if (po.sole > 0)
-            reconcileSole(po, cell.output);  // second flow for this output
-    }
+    if (st.output == kNoPort)
+        bind(slot, cell.output, Fifo{});
     AN2_REQUIRE(st.output == cell.output,
                 "queue " << queue_key << " routed to output " << st.output
                          << " but cell claims output " << cell.output);
-    st.cells.push_back(cell);
+    ++po.cells;
     ++total_cells_;
-    if (++po.cells == 1)
-        wordset::setBit(occ_.data(), cell.output);
+    if (po.sole == slot + 1) {
+        pushBack(po.fifo, cell);  // just bound as the sole flow
+        return;
+    }
+    pushBack(st.fifo, cell);
     if (!st.eligible_listed) {
         eligible_[static_cast<size_t>(cell.output)].push_back(slot);
         st.eligible_listed = true;
@@ -115,10 +228,13 @@ int
 InputBuffer::eligibleFlowsFor(PortId j) const
 {
     AN2_REQUIRE(j >= 0 && j < n_outputs_, "output " << j << " out of range");
+    const PerOutput& po = per_output_[static_cast<size_t>(j)];
+    if (po.sole > 0)
+        return po.fifo.empty() ? 0 : 1;
     const auto& list = eligible_[static_cast<size_t>(j)];
     int n = 0;
     for (size_t k = 0; k < list.size(); ++k)
-        if (!slots_[static_cast<size_t>(list.at(k))].cells.empty())
+        if (!slots_[static_cast<size_t>(list.at(k))].fifo.empty())
             ++n;
     return n;
 }
@@ -127,8 +243,7 @@ void
 InputBuffer::noteDequeued(PortId j)
 {
     --total_cells_;
-    if (--per_output_[static_cast<size_t>(j)].cells == 0)
-        wordset::clearBit(occ_.data(), j);
+    --per_output_[static_cast<size_t>(j)].cells;
 }
 
 Cell
@@ -139,15 +254,9 @@ InputBuffer::dequeueFor(PortId j)
     if (po.sole > 0) {
         // Direct: the output's only flow owns every queued cell, and a
         // round-robin among one flow is the identity — skip the ring.
-        PerFlow& st = slots_[static_cast<size_t>(po.sole - 1)];
-        AN2_ASSERT(!st.cells.empty(),
-                   "single-flow count out of sync for output " << j);
-        Cell c = st.cells.front();
-        st.cells.pop_front();
+        --po.cells;
         --total_cells_;
-        if (--po.cells == 0)
-            wordset::clearBit(occ_.data(), j);
-        return c;
+        return popFront(po.fifo);
     }
     auto& list = eligible_[static_cast<size_t>(j)];
     while (true) {
@@ -156,15 +265,14 @@ InputBuffer::dequeueFor(PortId j)
         int32_t s = list.front();
         list.pop_front();
         PerFlow& st = slots_[static_cast<size_t>(s)];
-        if (st.cells.empty()) {
+        if (st.fifo.empty()) {
             // Stale entry left behind by dequeueFlow(); lazily discard.
             st.eligible_listed = false;
             continue;
         }
-        Cell c = st.cells.front();
-        st.cells.pop_front();
+        Cell c = popFront(st.fifo);
         noteDequeued(j);
-        if (!st.cells.empty()) {
+        if (!st.fifo.empty()) {
             list.push_back(s);  // round-robin: rotate to the back
         } else {
             st.eligible_listed = false;
@@ -177,8 +285,7 @@ bool
 InputBuffer::flowHasCell(FlowId f) const
 {
     const int32_t* idx = flow_index_.get(f);
-    return idx != nullptr &&
-           !slots_[static_cast<size_t>(*idx - 1)].cells.empty();
+    return idx != nullptr && !fifoOf(*idx - 1).empty();
 }
 
 PortId
@@ -194,91 +301,51 @@ InputBuffer::rebindFlow(FlowId f, PortId new_output)
 {
     AN2_REQUIRE(new_output >= 0 && new_output < n_outputs_,
                 "rebind to invalid output " << new_output);
-    int32_t* idx = flow_index_.get(f);
+    const int32_t* idx = flow_index_.get(f);
     if (idx == nullptr)
         return 0;
     const int32_t slot = *idx - 1;
-    PerFlow& st = slots_[static_cast<size_t>(slot)];
-    if (st.output == kNoPort || st.output == new_output)
+    const PortId old = slots_[static_cast<size_t>(slot)].output;
+    if (old == kNoPort || old == new_output)
         return 0;
-    PortId old = st.output;
-
-    // Drop the flow's seat in the old eligible list (stale entries from
-    // dequeueFlow() included); the rotation keeps the others in order.
-    if (st.eligible_listed) {
-        RingQueue<int32_t>& list = eligible_[static_cast<size_t>(old)];
-        for (size_t i = 0, sz = list.size(); i < sz; ++i) {
-            int32_t x = list.front();
-            list.pop_front();
-            if (x != slot)
-                list.push_back(x);
-        }
-        st.eligible_listed = false;
+    const Fifo fifo = unbind(slot);
+    // Retag queued cells in place, walking the links in FIFO order.
+    int n = 0;
+    for (int32_t k = fifo.head; k != kNil;
+         k = arena_[static_cast<size_t>(k)].next) {
+        arena_[static_cast<size_t>(k)].cell.output = new_output;
+        ++n;
     }
-    PerOutput& po_old = per_output_[static_cast<size_t>(old)];
-    if (po_old.sole == slot + 1)
-        po_old.sole = 0;  // the old output loses its only flow
-
-    auto n = static_cast<int>(st.cells.size());
-    if (n == 0) {
-        st.output = kNoPort;  // next enqueue binds fresh
-        return 0;
-    }
-    // Retag queued cells in place; a full rotation keeps FIFO order.
-    for (int i = 0; i < n; ++i) {
-        Cell c = st.cells.front();
-        st.cells.pop_front();
-        c.output = new_output;
-        st.cells.push_back(c);
-    }
-    PerOutput& po_new = per_output_[static_cast<size_t>(new_output)];
-    if ((po_old.cells -= n) == 0)
-        wordset::clearBit(occ_.data(), old);
-    if ((po_new.cells += n) == n)
-        wordset::setBit(occ_.data(), new_output);
-    st.output = new_output;
-    if (po_new.sole == 0)
-        po_new.sole = slot + 1;
-    else if (po_new.sole > 0)
-        reconcileSole(po_new, new_output);  // second flow for this output
-    eligible_[static_cast<size_t>(new_output)].push_back(slot);
-    st.eligible_listed = true;
+    if (n == 0)
+        return 0;  // left unbound: the next enqueue binds fresh
+    per_output_[static_cast<size_t>(old)].cells -= n;
+    per_output_[static_cast<size_t>(new_output)].cells += n;
+    bind(slot, new_output, fifo);
     return n;
 }
 
 int
 InputBuffer::purgeFlow(FlowId f)
 {
-    int32_t* idx = flow_index_.get(f);
+    const int32_t* idx = flow_index_.get(f);
     if (idx == nullptr)
         return 0;
     const int32_t slot = *idx - 1;
-    PerFlow& st = slots_[static_cast<size_t>(slot)];
-    const PortId out = st.output;
+    const PortId out = slots_[static_cast<size_t>(slot)].output;
     if (out == kNoPort)
         return 0;  // never bound (or already purged): nothing queued
-    if (st.eligible_listed) {
-        RingQueue<int32_t>& list = eligible_[static_cast<size_t>(out)];
-        for (size_t i = 0, sz = list.size(); i < sz; ++i) {
-            int32_t x = list.front();
-            list.pop_front();
-            if (x != slot)
-                list.push_back(x);
-        }
-        st.eligible_listed = false;
-    }
-    PerOutput& po = per_output_[static_cast<size_t>(out)];
-    if (po.sole == slot + 1)
-        po.sole = 0;  // the output loses its only flow
-    const auto n = static_cast<int>(st.cells.size());
-    while (!st.cells.empty())
-        st.cells.pop_front();
+    const Fifo fifo = unbind(slot);
+    int n = 0;
+    for (int32_t k = fifo.head; k != kNil;
+         k = arena_[static_cast<size_t>(k)].next)
+        ++n;
     if (n > 0) {
-        if ((po.cells -= n) == 0)
-            wordset::clearBit(occ_.data(), out);
+        // Splice the whole FIFO onto the free list.
+        arena_[static_cast<size_t>(fifo.tail)].next = free_;
+        free_ = fifo.head;
+        per_output_[static_cast<size_t>(out)].cells -= n;
         total_cells_ -= n;
     }
-    st.output = kNoPort;  // next enqueue binds fresh
     return n;
 }
 
@@ -286,10 +353,7 @@ Cell
 InputBuffer::dequeueFlow(FlowId f)
 {
     AN2_REQUIRE(flowHasCell(f), "flow " << f << " has no queued cell");
-    PerFlow& st =
-        slots_[static_cast<size_t>(*flow_index_.get(f) - 1)];
-    Cell c = st.cells.front();
-    st.cells.pop_front();
+    Cell c = popFront(fifoOf(*flow_index_.get(f) - 1));
     noteDequeued(c.output);
     // If the flow is now empty, its eligible-list entry (if any) becomes
     // stale and is discarded lazily by dequeueFor().

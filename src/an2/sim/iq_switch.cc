@@ -28,10 +28,12 @@ InputQueuedSwitch::InputQueuedSwitch(const IqSwitchConfig& config,
     if (cbr_schedule_ != nullptr) {
         AN2_REQUIRE(cbr_schedule_->size() == config_.n,
                     "frame schedule size does not match switch");
+        // Without a schedule acceptCell() rejects CBR cells, so the CBR
+        // bank would stay empty: build it only when it can be used.
+        cbr_bufs_.reserve(static_cast<size_t>(config_.n));
+        for (int i = 0; i < config_.n; ++i)
+            cbr_bufs_.emplace_back(config_.n);
     }
-    cbr_bufs_.reserve(static_cast<size_t>(config_.n));
-    for (int i = 0; i < config_.n; ++i)
-        cbr_bufs_.emplace_back(config_.n);
     if (config_.output_speedup > 1)
         out_queues_.resize(static_cast<size_t>(config_.n));
     forwarded_.reserve(static_cast<size_t>(config_.n) *
@@ -273,6 +275,8 @@ InputQueuedSwitch::fillOccupancy(int32_t* voq, int32_t* backlog) const
                          : static_cast<int32_t>(
                                out_queues_[static_cast<size_t>(j)].size());
     core_.fillOccupancy(voq, backlog);
+    if (cbr_schedule_ == nullptr)
+        return;  // no CBR bank
     for (PortId i = 0; i < n; ++i) {
         for (PortId j = 0; j < n; ++j) {
             int32_t cells = cbr_bufs_[static_cast<size_t>(i)].cellCountFor(j);
@@ -287,12 +291,9 @@ int
 InputQueuedSwitch::bufferedCells() const
 {
     int total = core_.bufferedCells();
-    // CBR cells can only be accepted when a frame schedule is present,
-    // so the CBR buffers are provably empty otherwise (and this runs
-    // twice per slot on the conservation-check path).
-    if (cbr_schedule_ != nullptr)
-        for (const auto& b : cbr_bufs_)
-            total += b.totalCells();
+    // The CBR bank exists only with a frame schedule.
+    for (const auto& b : cbr_bufs_)
+        total += b.totalCells();
     for (const auto& q : out_queues_)
         total += static_cast<int>(q.size());
     return total;

@@ -157,6 +157,7 @@ class InputQueuedSwitch final : public SwitchModel
     /** VBR VOQs and their requests; CBR cells never request. */
     VoqCore core_;
     const FrameSchedule* cbr_schedule_;
+    /** CBR buffers, one per input; empty without a frame schedule. */
     std::vector<InputBuffer> cbr_bufs_;
     std::vector<RingQueue<Cell>> out_queues_;  ///< used when speedup > 1
     Crossbar crossbar_;

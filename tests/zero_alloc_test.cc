@@ -11,12 +11,14 @@
 #include <memory>
 #include <new>
 
+#include "an2/base/rng.h"
 #include "an2/fault/fault_plan.h"
 #include "an2/fault/injector.h"
 #include "an2/matching/islip.h"
 #include "an2/matching/pim.h"
 #include "an2/matching/serial_greedy.h"
 #include "an2/obs/recorder.h"
+#include "an2/queueing/voq.h"
 #include "an2/sim/cioq_switch.h"
 #include "an2/sim/iq_switch.h"
 #include "an2/sim/metrics.h"
@@ -491,6 +493,50 @@ TEST(ZeroAllocTest, MetricsDeliverySteadyStateIsAllocationFree)
     EXPECT_EQ(after - before, 0u);
     EXPECT_EQ(m.delivered(), 3 * 256);
     EXPECT_EQ(m.deliveredPerFlow().at(0), 3);
+}
+
+TEST(ZeroAllocTest, InputBufferChurnIsAllocationFree)
+{
+    // The buffer on its own, churned at constant occupancy: half the
+    // outputs carry a sole flow (the direct paths), half carry two
+    // (eligible rings, round-robin, stale seats from dequeueFlow). Once
+    // warm-up has sized the arena and the rings, every freed node is
+    // reused and nothing touches the heap.
+    constexpr int kOutputs = 64;
+    InputBuffer buf(kOutputs);
+    std::vector<Cell> flows;  // one template cell per flow
+    for (PortId j = 0; j < kOutputs; ++j) {
+        const int n = j < kOutputs / 2 ? 1 : 2;
+        for (int k = 0; k < n; ++k) {
+            Cell c;
+            c.flow = 1000 * k + j;
+            c.output = j;
+            flows.push_back(c);
+        }
+    }
+    for (int round = 0; round < 4; ++round)
+        for (const Cell& c : flows)
+            buf.enqueue(c);
+    const int occupancy = buf.totalCells();
+
+    Xoshiro256 rng(17);
+    size_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int step = 0; step < 20'000; ++step) {
+        Cell c = flows[rng.nextBelow(flows.size())];
+        if (step % 8 == 0 && buf.flowHasCell(c.flow)) {
+            buf.dequeueFlow(c.flow);
+        } else {
+            auto j = static_cast<PortId>(rng.nextBelow(kOutputs));
+            while (!buf.hasCellFor(j))
+                j = (j + 1) % kOutputs;
+            buf.dequeueFor(j);
+        }
+        c.seq = step;
+        buf.enqueue(c);
+    }
+    size_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u);
+    EXPECT_EQ(buf.totalCells(), occupancy);
 }
 
 TEST(ZeroAllocTest, CountingAllocatorIsLive)
