@@ -151,10 +151,7 @@ runChurnBench(benchmark::State& state, MakeMatcher make)
                 churn.nextBelow(static_cast<uint64_t>(n)));
             auto j = static_cast<PortId>(
                 churn.nextBelow(static_cast<uint64_t>(n)));
-            if (churn.nextBernoulli(0.5))
-                req.increment(i, j);
-            else if (req.count(i, j) > 0)
-                req.decrement(i, j);
+            req.set(i, j, churn.nextBernoulli(0.5));
         }
         matcher->matchInto(req, m);
         benchmark::DoNotOptimize(m.size());

@@ -83,9 +83,9 @@ starvationDemo()
                 " outputs {1,2};\n     input 1 requests {1}; all queues"
                 " always backlogged):\n");
     RequestMatrix req(3);
-    req.set(0, 1, 1);
-    req.set(0, 2, 1);
-    req.set(1, 1, 1);
+    req.set(0, 1, true);
+    req.set(0, 2, true);
+    req.set(1, 1, true);
     constexpr int kSlots = 100'000;
     {
         HopcroftKarpMatcher hk;

@@ -38,11 +38,11 @@ figure2WalkThrough()
     // requests {0,1}; input 2 requests {3}... we use the paper's pattern
     // of five requests across a 4x4 switch.
     RequestMatrix req(4);
-    req.set(0, 1, 1);
-    req.set(0, 2, 1);
-    req.set(1, 1, 1);
-    req.set(2, 0, 1);
-    req.set(3, 3, 1);
+    req.set(0, 1, true);
+    req.set(0, 2, true);
+    req.set(1, 1, true);
+    req.set(2, 0, true);
+    req.set(3, 3, true);
     printRequests(req);
 
     PimMatcher pim(PimConfig{.iterations = 0, .seed = 2});

@@ -7,7 +7,10 @@ Usage:
 
 Runs both bench_slot_loop binaries (one built from the commit *before*
 the change being documented, one from *after*) over a fixed
-size x load grid and assembles the an2.bench_hotpath.v1 document:
+size x load grid and assembles the an2.bench_hotpath.v1 document.
+The two binaries run back to back on each grid row, and the one that
+runs first alternates from row to row, so drift in the host's speed
+over the run lands on both sides of a ratio rather than on one:
 
   before[]  cells from the before binary
   after[]   cells from the after binary
@@ -41,29 +44,48 @@ GRID = [
 ]
 
 
-def run_grid(binary):
-    cells = []
-    for size, load, slots, warmup, reps, filters in GRID:
-        for arch in filters:
-            cmd = [binary, "--size", str(size), "--load", str(load),
-                   "--slots", str(slots), "--warmup", str(warmup),
-                   "--reps", str(reps)]
-            if arch:
-                cmd += ["--arch", arch]
-            with tempfile.NamedTemporaryFile(suffix=".json") as tmp:
-                cmd += ["--json", tmp.name]
-                print(f"  {os.path.basename(binary)}: "
-                      f"{size}x{size}@{load:g}"
-                      f"{' arch=' + arch if arch else ''}", flush=True)
-                subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
-                with open(tmp.name) as f:
-                    doc = json.load(f)
-            for c in doc["cells"]:
-                key = (c["arch"], c["size"], c["load"])
-                if key not in {(x["arch"], x["size"], x["load"])
-                               for x in cells}:
-                    cells.append(c)
-    return cells
+def run_row(label, binary, size, load, slots, warmup, reps, arch):
+    """One bench_slot_loop invocation; returns its cells."""
+    cmd = [binary, "--size", str(size), "--load", str(load),
+           "--slots", str(slots), "--warmup", str(warmup),
+           "--reps", str(reps)]
+    if arch:
+        cmd += ["--arch", arch]
+    with tempfile.NamedTemporaryFile(suffix=".json") as tmp:
+        cmd += ["--json", tmp.name]
+        print(f"  {label}: {size}x{size}@{load:g}"
+              f"{' arch=' + arch if arch else ''}", flush=True)
+        subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
+        with open(tmp.name) as f:
+            return json.load(f)["cells"]
+
+
+def add_cells(cells, new):
+    """Append the cells of `new` whose (arch, size, load) is not yet in
+    `cells`: overlapping arch filters yield each cell once."""
+    seen = {(c["arch"], c["size"], c["load"]) for c in cells}
+    for c in new:
+        key = (c["arch"], c["size"], c["load"])
+        if key not in seen:
+            seen.add(key)
+            cells.append(c)
+
+
+def run_grid(before_bin, after_bin):
+    """Run every grid row on both binaries, alternating which goes
+    first; returns (before cells, after cells)."""
+    before, after = [], []
+    rows = [(size, load, slots, warmup, reps, arch)
+            for size, load, slots, warmup, reps, filters in GRID
+            for arch in filters]
+    for k, row in enumerate(rows):
+        order = [("before", before_bin, before),
+                 ("after", after_bin, after)]
+        if k % 2 == 1:
+            order.reverse()
+        for label, binary, cells in order:
+            add_cells(cells, run_row(label, binary, *row))
+    return before, after
 
 
 def host_identity():
@@ -111,10 +133,7 @@ def main():
     parser.add_argument("--out", default="BENCH_hotpath.json")
     args = parser.parse_args()
 
-    print("before rows:")
-    before = run_grid(args.before_bin)
-    print("after rows:")
-    after = run_grid(args.after_bin)
+    before, after = run_grid(args.before_bin, args.after_bin)
 
     doc = {
         "meta": {

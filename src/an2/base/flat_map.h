@@ -1,8 +1,8 @@
 /**
  * @file
  * Open-addressing map from small integer keys to arbitrary values,
- * built for per-flow bookkeeping on hot paths (per-flow counts in the
- * metrics collector, flow indexes in the input buffers, routes): looking
+ * built for per-flow bookkeeping on hot paths (flow indexes in the input
+ * buffers, per-flow delivery counts, routes): looking
  * up or mutating a key already present performs no heap allocation, so
  * sizing the constructor hint to the expected key population keeps a
  * steady-state loop allocation-free after every key has been touched

@@ -42,9 +42,8 @@ FillInMatcher::match(const RequestMatrix& req)
         for (PortId j = 0; j < req.numOutputs(); ++j) {
             if (m.isOutputSaturated(j))
                 continue;
-            int count = req.count(i, j);
-            if (count > 0) {
-                residual.set(i, j, count);
+            if (req.has(i, j)) {
+                residual.set(i, j, true);
                 any = true;
             }
         }

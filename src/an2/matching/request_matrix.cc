@@ -5,7 +5,7 @@
 namespace an2 {
 
 RequestMatrix::RequestMatrix(int n_inputs, int n_outputs)
-    : counts_(n_inputs, n_outputs, 0),
+    : n_inputs_(n_inputs), n_outputs_(n_outputs),
       row_words_(wordset::numWords(n_outputs)),
       col_words_(wordset::numWords(n_inputs)),
       row_masks_(static_cast<size_t>(n_inputs) *
@@ -14,6 +14,7 @@ RequestMatrix::RequestMatrix(int n_inputs, int n_outputs)
       col_masks_(static_cast<size_t>(n_outputs) *
                      static_cast<size_t>(col_words_),
                  0),
+      raw_(row_masks_.size(), 0),
       live_in_(static_cast<size_t>(col_words_), 0),
       live_out_(static_cast<size_t>(row_words_), 0),
       dirty_rows_(static_cast<size_t>(col_words_), 0),
@@ -26,11 +27,12 @@ RequestMatrix::RequestMatrix(int n_inputs, int n_outputs)
 }
 
 RequestMatrix::RequestMatrix(const RequestMatrix& other)
-    : counts_(other.counts_),
+    : n_inputs_(other.n_inputs_), n_outputs_(other.n_outputs_),
       row_words_(other.row_words_),
       col_words_(other.col_words_),
       row_masks_(other.row_masks_),
       col_masks_(other.col_masks_),
+      raw_(other.raw_),
       live_in_(other.live_in_),
       live_out_(other.live_out_),
       dead_ports_(other.dead_ports_),
@@ -51,11 +53,13 @@ RequestMatrix::operator=(const RequestMatrix& other)
     if (this == &other)
         return *this;
     const uint64_t own_epoch = epoch_;
-    counts_ = other.counts_;
+    n_inputs_ = other.n_inputs_;
+    n_outputs_ = other.n_outputs_;
     row_words_ = other.row_words_;
     col_words_ = other.col_words_;
     row_masks_ = other.row_masks_;
     col_masks_ = other.col_masks_;
+    raw_ = other.raw_;
     live_in_ = other.live_in_;
     live_out_ = other.live_out_;
     dead_ports_ = other.dead_ports_;
@@ -72,20 +76,22 @@ RequestMatrix::operator=(const RequestMatrix& other)
 }
 
 void
-RequestMatrix::set(PortId i, PortId j, int count)
+RequestMatrix::set(PortId i, PortId j, bool requested)
 {
-    AN2_REQUIRE(count >= 0, "request count must be non-negative");
-    int& cell = counts_.at(i, j);
-    const bool was = cell > 0;
-    const bool now = count > 0;
-    cell = count;
-    if (was == now)
+    AN2_ASSERT(i >= 0 && i < numInputs() && j >= 0 && j < numOutputs(),
+               "request (" << i << "," << j << ") out of range");
+    uint64_t* raw = rawRow(i);
+    if (wordset::testBit(raw, j) == requested)
         return;
+    if (requested)
+        wordset::setBit(raw, j);
+    else
+        wordset::clearBit(raw, j);
     // Requests touching a dead port stay hidden: the masks and the edge
     // count track only the visible view.
     if (dead_ports_ > 0 && (!inputLive(i) || !outputLive(j)))
         return;
-    if (now) {
+    if (requested) {
         wordset::setBit(rowMaskMut(i), j);
         wordset::setBit(colMaskMut(j), i);
         ++edges_;
@@ -95,22 +101,6 @@ RequestMatrix::set(PortId i, PortId j, int count)
         --edges_;
     }
     markDirty(i, j);
-}
-
-void
-RequestMatrix::decrement(PortId i, PortId j)
-{
-    int& cell = counts_.at(i, j);
-    AN2_ASSERT(cell > 0,
-               "decrement of empty request cell (" << i << "," << j << ")");
-    if (--cell == 0) {
-        if (dead_ports_ > 0 && (!inputLive(i) || !outputLive(j)))
-            return;  // hidden edge: nothing visible to clear
-        wordset::clearBit(rowMaskMut(i), j);
-        wordset::clearBit(colMaskMut(j), i);
-        --edges_;
-        markDirty(i, j);
-    }
 }
 
 void
@@ -139,16 +129,15 @@ RequestMatrix::setInputLive(PortId i, bool live)
         --dead_ports_;
         // Re-expose the surviving requests toward live outputs; each
         // re-exposed edge is a transition the dirty sets must record
-        // (hidden-then-revived requests reappear without any count
-        // change, so the set/decrement paths never see them).
-        for (PortId j = 0; j < numOutputs(); ++j) {
-            if (counts_.at(i, j) > 0 && outputLive(j)) {
-                wordset::setBit(row, j);
-                wordset::setBit(colMaskMut(j), i);
-                ++edges_;
-                markDirty(i, j);
-            }
-        }
+        // (hidden-then-revived requests reappear without any set() call).
+        const uint64_t* raw = rawRow(i);
+        for (int w = 0; w < row_words_; ++w)
+            row[w] = raw[w] & live_out_[static_cast<size_t>(w)];
+        wordset::forEachSet(row, row_words_, [&](int j) {
+            wordset::setBit(colMaskMut(j), i);
+            ++edges_;
+            markDirty(i, j);
+        });
     }
 }
 
@@ -172,21 +161,21 @@ RequestMatrix::setOutputLive(PortId j, bool live)
     } else {
         wordset::setBit(live_out_.data(), j);
         --dead_ports_;
-        for (PortId i = 0; i < numInputs(); ++i) {
-            if (counts_.at(i, j) > 0 && inputLive(i)) {
+        wordset::forEachSet(live_in_.data(), col_words_, [&](int i) {
+            if (wordset::testBit(rawRow(i), j)) {
                 wordset::setBit(rowMaskMut(i), j);
                 wordset::setBit(col, i);
                 ++edges_;
                 markDirty(i, j);
             }
-        }
+        });
     }
 }
 
 void
 RequestMatrix::clear()
 {
-    counts_.fill(0);
+    std::fill(raw_.begin(), raw_.end(), 0);
     std::fill(row_masks_.begin(), row_masks_.end(), 0);
     std::fill(col_masks_.begin(), col_masks_.end(), 0);
     edges_ = 0;
@@ -202,18 +191,12 @@ RequestMatrix::clearRow(PortId i)
 {
     uint64_t* row = rowMaskMut(i);
     wordset::forEachSet(row, row_words_, [&](int j) {
-        counts_.at(i, j) = 0;
         wordset::clearBit(colMaskMut(j), i);
         --edges_;
         markDirty(i, j);
     });
     wordset::clearAll(row, row_words_);
-    if (dead_ports_ > 0) {
-        // Also zero requests hidden behind dead ports (the mask walk
-        // above cannot see them); only paid when faults are active.
-        for (PortId j = 0; j < numOutputs(); ++j)
-            counts_.at(i, j) = 0;
-    }
+    wordset::clearAll(rawRow(i), row_words_);  // hidden requests too
 }
 
 void
@@ -221,15 +204,17 @@ RequestMatrix::clearColumn(PortId j)
 {
     uint64_t* col = colMaskMut(j);
     wordset::forEachSet(col, col_words_, [&](int i) {
-        counts_.at(i, j) = 0;
+        wordset::clearBit(rawRow(i), j);
         wordset::clearBit(rowMaskMut(i), j);
         --edges_;
         markDirty(i, j);
     });
     wordset::clearAll(col, col_words_);
     if (dead_ports_ > 0) {
+        // Also drop requests hidden behind dead ports (the mask walk
+        // above cannot see them); only paid when faults are active.
         for (PortId i = 0; i < numInputs(); ++i)
-            counts_.at(i, j) = 0;
+            wordset::clearBit(rawRow(i), j);
     }
 }
 
@@ -240,7 +225,7 @@ RequestMatrix::bernoulli(int n, double p, Rng& rng)
     for (int i = 0; i < n; ++i)
         for (int j = 0; j < n; ++j)
             if (rng.nextBernoulli(p))
-                req.set(i, j, 1);
+                req.set(i, j, true);
     return req;
 }
 

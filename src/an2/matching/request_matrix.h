@@ -4,38 +4,39 @@
  *
  * Switch scheduling is bipartite matching (paper §3.4): inputs and outputs
  * are the two node sets, and an edge (i,j) exists when input i has at least
- * one cell queued for output j. The RequestMatrix records the number of
- * queued cells per pair; schedulers only care whether it is non-zero, but
- * counts are kept for diagnostics and weighted policies.
+ * one cell queued for output j. The RequestMatrix is that edge set and
+ * nothing more: schedulers only ask whether an edge is present, and the
+ * number of queued cells per pair lives with the cells (InputBuffer), so a
+ * switch raises or lowers an edge only when that number crosses zero.
  *
- * Alongside the dense counts the matrix maintains, incrementally on every
- * mutation, the bit-parallel view the fast matcher backends consume: a
- * row mask per input (bit j set when input i requests output j), a column
- * mask per output (bit i set when input i requests output j), and the
- * edge count. This mirrors the AN2 hardware, where the request state is
- * literally one wire per port pair (§3.3), and lets a switch patch the
- * matrix as cells arrive and depart instead of rebuilding O(N^2) state
- * every slot.
+ * The matrix maintains, incrementally on every mutation, the bit-parallel
+ * view the fast matcher backends consume: a row mask per input (bit j set
+ * when input i requests output j), a column mask per output (bit i set
+ * when input i requests output j), and the edge count. This mirrors the
+ * AN2 hardware, where the request state is literally one wire per port
+ * pair (§3.3), and lets a switch patch the matrix as cells arrive and
+ * depart instead of rebuilding O(N^2) state every slot.
  *
  * Port liveness (fault injection): setInputLive/setOutputLive mark ports
  * dead, which *hides* their requests — has() returns false, the row and
  * column masks exclude them, and numEdges() counts only visible edges —
- * without discarding the underlying counts. Both matcher backend styles
- * consume only has()/rowMask()/colMask(), so a dead port can never be
- * granted by any matcher. Reviving a port re-exposes its surviving
- * queued requests. Liveness survives clear() and copy assignment.
+ * without discarding them: a raw request bitset keeps every edge, visible
+ * or not. Both matcher backend styles consume only has()/rowMask()/
+ * colMask(), so a dead port can never be granted by any matcher. Reviving
+ * a port re-exposes its surviving requests (raw & live, word by word).
+ * Liveness survives clear() and copy assignment.
  *
  * Delta tracking (temporal locality): every mutation that changes the
- * *visible* edge set — a count crossing zero, clearRow/clearColumn,
+ * *visible* edge set — set() flipping an edge, clearRow/clearColumn,
  * clear(), and liveness flips hiding or re-exposing edges — marks the
  * affected input in a dirty-row set, the affected output in a dirty-col
  * set, and bumps an epoch counter. A warm-starting matcher can thus ask
  * "which rows/columns changed since my last matching?" in O(words) and
- * detect a completely unchanged matrix in O(1) via epoch(). Count
- * changes that do not cross zero (2 -> 1 queued cells) leave the edge
- * set intact and mark nothing. The dirty sets are acknowledgment state
- * for a single consumer: clearDirty() is const (the members are
- * mutable) so the matcher can acknowledge deltas on a const matrix.
+ * detect a completely unchanged matrix in O(1) via epoch(). Setting an
+ * edge to the state it already has marks nothing. The dirty sets are
+ * acknowledgment state for a single consumer: clearDirty() is const (the
+ * members are mutable) so the matcher can acknowledge deltas on a const
+ * matrix.
  */
 #ifndef AN2_MATCHING_REQUEST_MATRIX_H
 #define AN2_MATCHING_REQUEST_MATRIX_H
@@ -44,7 +45,6 @@
 #include <vector>
 
 #include "an2/base/error.h"
-#include "an2/base/matrix.h"
 #include "an2/base/rng.h"
 #include "an2/base/types.h"
 #include "an2/matching/wordset.h"
@@ -73,13 +73,12 @@ class RequestMatrix
     RequestMatrix(RequestMatrix&&) = default;
     RequestMatrix& operator=(RequestMatrix&&) = default;
 
-    int numInputs() const { return counts_.rows(); }
-    int numOutputs() const { return counts_.cols(); }
+    int numInputs() const { return n_inputs_; }
+    int numOutputs() const { return n_outputs_; }
 
-    /** True when input i has at least one cell queued for output j and
-        both ports are live. One bit test against the incrementally
-        maintained row mask (the masks hold exactly the visible edges),
-        so per-edge legality checks never touch the dense count matrix. */
+    /** True when input i requests output j and both ports are live. One
+        bit test against the incrementally maintained row mask (the masks
+        hold exactly the visible edges). */
     bool has(PortId i, PortId j) const
     {
         AN2_ASSERT(i >= 0 && i < numInputs() && j >= 0 && j < numOutputs(),
@@ -87,17 +86,9 @@ class RequestMatrix
         return wordset::testBit(rowMask(i), j);
     }
 
-    /** Number of cells queued from i to j. */
-    int count(PortId i, PortId j) const { return counts_.at(i, j); }
-
-    /** Set the queued-cell count for (i,j). */
-    void set(PortId i, PortId j, int count);
-
-    /** Add one queued cell for (i,j). */
-    void increment(PortId i, PortId j) { set(i, j, count(i, j) + 1); }
-
-    /** Remove one queued cell for (i,j); count must be positive. */
-    void decrement(PortId i, PortId j);
+    /** Raise (or lower) the request of input i for output j. While
+        either port is dead the request is recorded but stays hidden. */
+    void set(PortId i, PortId j, bool requested);
 
     /** Number of (i,j) pairs with at least one visible request (O(1));
         requests hidden by dead ports are excluded. */
@@ -106,7 +97,7 @@ class RequestMatrix
     /**
      * Mark input i live or dead. Killing a port hides its requests from
      * has()/masks/numEdges() in O(row edges); reviving re-exposes the
-     * surviving counts in O(numOutputs). Idempotent.
+     * surviving requests in O(row words + row edges). Idempotent.
      */
     void setInputLive(PortId i, bool live);
 
@@ -126,16 +117,13 @@ class RequestMatrix
     /** True when no port has been marked dead. */
     bool allPortsLive() const { return dead_ports_ == 0; }
 
-    /** Total queued cells across all pairs. */
-    int totalCells() const { return counts_.total(); }
-
     /** Clear all requests. */
     void clear();
 
-    /** Zero every request from input i (counts and masks). */
+    /** Drop every request from input i, hidden ones included. */
     void clearRow(PortId i);
 
-    /** Zero every request to output j (counts and masks). */
+    /** Drop every request to output j, hidden ones included. */
     void clearColumn(PortId j);
 
     /** Words per row mask (over outputs). */
@@ -228,11 +216,20 @@ class RequestMatrix
                static_cast<size_t>(j) * static_cast<size_t>(col_words_);
     }
 
-    Matrix<int> counts_;
+    /** Input i's raw requests: every requested output, live or not. */
+    uint64_t* rawRow(PortId i)
+    {
+        return raw_.data() +
+               static_cast<size_t>(i) * static_cast<size_t>(row_words_);
+    }
+
+    int n_inputs_;
+    int n_outputs_;
     int row_words_;
     int col_words_;
     std::vector<uint64_t> row_masks_;  ///< numInputs x row_words_
     std::vector<uint64_t> col_masks_;  ///< numOutputs x col_words_
+    std::vector<uint64_t> raw_;        ///< numInputs x row_words_
     std::vector<uint64_t> live_in_;    ///< bit i set = input i live
     std::vector<uint64_t> live_out_;   ///< bit j set = output j live
     int dead_ports_ = 0;               ///< dead inputs + dead outputs

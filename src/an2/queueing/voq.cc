@@ -169,13 +169,13 @@ InputBuffer::unbind(int32_t s)
     return fifo;
 }
 
-void
+int
 InputBuffer::enqueue(const Cell& cell)
 {
-    enqueueAs(cell.flow, cell);
+    return enqueueAs(cell.flow, cell);
 }
 
-void
+int
 InputBuffer::enqueueAs(FlowId queue_key, const Cell& cell)
 {
     AN2_REQUIRE(cell.output >= 0 && cell.output < n_outputs_,
@@ -185,9 +185,8 @@ InputBuffer::enqueueAs(FlowId queue_key, const Cell& cell)
     if (po.sole > 0 && po.sole_flow == queue_key) {
         // Direct: the output's only flow, whose FIFO lives right here.
         pushBack(po.fifo, cell);
-        ++po.cells;
         ++total_cells_;
-        return;
+        return ++po.cells;
     }
     const int32_t slot = flowSlot(queue_key);
     PerFlow& st = slots_[static_cast<size_t>(slot)];
@@ -202,13 +201,14 @@ InputBuffer::enqueueAs(FlowId queue_key, const Cell& cell)
     ++total_cells_;
     if (po.sole == slot + 1) {
         pushBack(po.fifo, cell);  // just bound as the sole flow
-        return;
+        return po.cells;
     }
     pushBack(st.fifo, cell);
     if (!st.eligible_listed) {
         eligible_[static_cast<size_t>(cell.output)].push_back(slot);
         st.eligible_listed = true;
     }
+    return po.cells;
 }
 
 bool

@@ -57,8 +57,9 @@ class InputBuffer
     /**
      * Buffer an arriving cell. The cell's `output` field routes it to the
      * appropriate eligible list.
+     * @return the number of cells now queued for that output.
      */
-    void enqueue(const Cell& cell);
+    int enqueue(const Cell& cell);
 
     /**
      * Buffer a cell under an explicit queue key instead of its flow id.
@@ -67,8 +68,9 @@ class InputBuffer
      * single FIFO per output (the Figure 9 "round-robin among input
      * ports" discipline) rather than AN2's per-flow queues. The key must
      * consistently map to one output, like a flow.
+     * @return the number of cells now queued for the cell's output.
      */
-    void enqueueAs(FlowId queue_key, const Cell& cell);
+    int enqueueAs(FlowId queue_key, const Cell& cell);
 
     /** True when some flow has a cell queued for output j. */
     bool hasCellFor(PortId j) const;

@@ -157,7 +157,7 @@ class CioqSwitch final : public SwitchModel
     int outputBacklog(PortId j) const;
 
     CioqSwitchConfig config_;
-    /** VOQs for every class; count(i,j) spans all classes. */
+    /** VOQs for every class; a request (i,j) spans all classes. */
     VoqCore core_;
     Crossbar crossbar_;
 

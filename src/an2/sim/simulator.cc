@@ -95,7 +95,7 @@ runSimulation(SwitchModel& sw, TrafficGenerator& traffic,
                            << config.slots
                            << " slots); no slots would be measured");
 
-    MetricsCollector metrics(config.warmup, sw.size());
+    MetricsCollector metrics(config.warmup);
 
     // Loss baselines, so a reused switch/injector accounts only this run.
     const int64_t sw_dropped0 = sw.droppedCells();
@@ -139,8 +139,6 @@ runSimulation(SwitchModel& sw, TrafficGenerator& traffic,
     result.throughput = static_cast<double>(result.delivered) / denom;
     result.offered = static_cast<double>(result.injected) / denom;
     result.max_occupancy = metrics.maxOccupancy();
-    result.per_connection = metrics.deliveredPerConnection();
-    result.per_flow = metrics.deliveredPerFlow();
     return result;
 }
 

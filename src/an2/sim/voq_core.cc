@@ -53,8 +53,8 @@ VoqCore::rebindFlow(FlowId flow, PortId out_port)
         const int moved = buf.rebindFlow(flow, out_port);
         if (moved == 0)
             continue;
-        req_.set(i, old, req_.count(i, old) - moved);
-        req_.set(i, out_port, req_.count(i, out_port) + moved);
+        req_.set(i, old, buf.hasCellFor(old));
+        req_.set(i, out_port, true);
     }
 }
 

@@ -8,12 +8,14 @@
  * service; routes, link I/O and Appendix B statistics) and its own rule
  * for when to call the matcher.
  *
- * The request matrix is never rebuilt: enqueue increments count(i,j),
- * dequeue decrements it, and a rebound flow carries its count with its
- * cells, so the matrix always mirrors the buffers — the hardware's one
- * request wire per port pair. Dead ports are mirrored into the matrix's
- * liveness, so no matcher can grant one; arrivals touching a dead port
- * are lost at the line card.
+ * The request matrix is never rebuilt. The buffers hold the one count of
+ * cells per (input, output) pair; the matrix holds only whether that
+ * count is non-zero — the hardware's one request wire per port pair. An
+ * enqueue that makes the count 1 raises the request, a dequeue that
+ * makes it 0 lowers it, and a rebound flow moves its requests with its
+ * cells, so the matrix always mirrors the buffers. Dead ports are
+ * mirrored into the matrix's liveness, so no matcher can grant one;
+ * arrivals touching a dead port are lost at the line card.
  *
  * The class is concrete and non-virtual: its hot paths inline into the
  * adapter's slot loop, and steady-state use performs no heap allocation.
@@ -55,7 +57,8 @@ class VoqCore
     Matcher& matcher() { return *matcher_; }
     const Matcher& matcher() const { return *matcher_; }
 
-    /** count(i,j) = cells queued at input i for output j. */
+    /** has(i,j) iff input i has a cell queued for output j and both
+        ports are live; input(i).cellCountFor(j) is the count. */
     const RequestMatrix& requests() const { return req_; }
 
     const InputBuffer& input(PortId i) const
@@ -87,23 +90,26 @@ class VoqCore
     /** Buffer a cell at its input and raise its request. */
     void enqueue(const Cell& cell)
     {
-        bufs_[static_cast<size_t>(cell.input)].enqueue(cell);
-        req_.increment(cell.input, cell.output);
+        if (bufs_[static_cast<size_t>(cell.input)].enqueue(cell) == 1)
+            req_.set(cell.input, cell.output, true);
     }
 
     /** enqueue() under an explicit queue key (InputBuffer::enqueueAs). */
     void enqueueAs(FlowId queue_key, const Cell& cell)
     {
-        bufs_[static_cast<size_t>(cell.input)].enqueueAs(queue_key, cell);
-        req_.increment(cell.input, cell.output);
+        if (bufs_[static_cast<size_t>(cell.input)].enqueueAs(queue_key,
+                                                             cell) == 1)
+            req_.set(cell.input, cell.output, true);
     }
 
     /** Serve pairing (i,j): the next cell round-robin among i's flows
-        for j, with its request decremented. */
+        for j, lowering the request when it was the last one. */
     Cell dequeue(PortId i, PortId j)
     {
-        Cell c = bufs_[static_cast<size_t>(i)].dequeueFor(j);
-        req_.decrement(i, j);
+        InputBuffer& buf = bufs_[static_cast<size_t>(i)];
+        Cell c = buf.dequeueFor(j);
+        if (!buf.hasCellFor(j))
+            req_.set(i, j, false);
         return c;
     }
 

@@ -378,8 +378,8 @@ TEST(InvariantCheckerTest, ConservationLedger)
 TEST(InvariantCheckerTest, MatchingLegalityAgainstLiveMasks)
 {
     RequestMatrix req(4);
-    req.set(0, 1, 1);
-    req.set(2, 3, 1);
+    req.set(0, 1, true);
+    req.set(2, 3, true);
     Matching m(4);
     m.add(0, 1);
     m.add(2, 3);

@@ -39,6 +39,10 @@ TEST(FillInTest, ResultIsLegalAndConflictFree)
     Xoshiro256 rng(6);
     for (int t = 0; t < 200; ++t) {
         auto req = RequestMatrix::bernoulli(8, 0.6, rng);
+        if (t % 2 == 1) {  // the fill-in must not grant a hidden request
+            req.setInputLive(t % 8, false);
+            req.setOutputLive((t + 3) % 8, false);
+        }
         Matching m = matcher->match(req);
         EXPECT_TRUE(m.isLegalFor(req));
         for (PortId j = 0; j < 8; ++j)
@@ -57,7 +61,7 @@ TEST(FillInTest, FillInRestoresWorkConservation)
     RequestMatrix req(kN);
     for (PortId i = 0; i < kN; ++i)
         for (PortId j = 0; j < kN; ++j)
-            req.set(i, j, 1);
+            req.set(i, j, true);
     int64_t total = 0;
     constexpr int kSlots = 2000;
     for (int s = 0; s < kSlots; ++s) {
@@ -84,9 +88,9 @@ TEST(FillInTest, AllocationsStillHonoredUnderFillIn)
     auto matcher = statisticalPlusPim(alloc, 8);
     RequestMatrix req(kN);
     for (PortId i = 0; i < 3; ++i)
-        req.set(i, 0, 1);
+        req.set(i, 0, true);
     for (PortId j = 0; j < kN; ++j)
-        req.set(3, j, 1);
+        req.set(3, j, true);
     Matrix<int64_t> served(kN, kN, 0);
     constexpr int kSlots = 40'000;
     for (int s = 0; s < kSlots; ++s)
@@ -107,7 +111,7 @@ TEST(FillInTest, NameAndCountersCompose)
     EXPECT_NE(matcher->name().find("Statistical"), std::string::npos);
     EXPECT_NE(matcher->name().find("PIM"), std::string::npos);
     RequestMatrix req(4);
-    req.set(1, 1, 1);  // no allocation: only the fill-in can serve it
+    req.set(1, 1, true);  // no allocation: only the fill-in can serve it
     Matching m = matcher->match(req);
     EXPECT_EQ(m.outputOf(1), 1);
     EXPECT_EQ(matcher->fillInPairs(), 1);

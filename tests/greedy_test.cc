@@ -36,9 +36,9 @@ TEST(GreedyTest, FixedOrderPrefersLowestIndices)
 {
     SerialGreedyMatcher greedy(false);
     RequestMatrix req(4);
-    req.set(0, 1, 1);
-    req.set(0, 2, 1);
-    req.set(1, 1, 1);
+    req.set(0, 1, true);
+    req.set(0, 2, true);
+    req.set(1, 1, true);
     Matching m = greedy.match(req);
     EXPECT_EQ(m.outputOf(0), 1);  // input 0 takes the first candidate
     EXPECT_EQ(m.outputOf(1), kNoPort);  // input 1 blocked at output 1
@@ -63,7 +63,7 @@ TEST(GreedyTest, FullRequestsFullyMatched)
     RequestMatrix req(8);
     for (PortId i = 0; i < 8; ++i)
         for (PortId j = 0; j < 8; ++j)
-            req.set(i, j, 1);
+            req.set(i, j, true);
     EXPECT_EQ(greedy.match(req).size(), 8);
 }
 

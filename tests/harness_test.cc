@@ -153,12 +153,8 @@ TEST(SweepTest, ThreadCountInvariance)
     SweepResult serial = runSweep(spec, 1);
     SweepResult parallel = runSweep(spec, 8);
     ASSERT_EQ(serial.results.size(), parallel.results.size());
-    for (size_t i = 0; i < serial.results.size(); ++i) {
-        EXPECT_EQ(serial.results[i].mean_delay, parallel.results[i].mean_delay);
-        EXPECT_EQ(serial.results[i].delivered, parallel.results[i].delivered);
-        EXPECT_EQ(serial.results[i].per_connection,
-                  parallel.results[i].per_connection);
-    }
+    for (size_t i = 0; i < serial.results.size(); ++i)
+        EXPECT_EQ(serial.results[i], parallel.results[i]) << "run " << i;
 
     std::string json1 = sweepToJson(spec, aggregate(spec, serial));
     std::string json8 = sweepToJson(spec, aggregate(spec, parallel));

@@ -48,7 +48,7 @@ TEST(HopcroftKarpTest, PerfectMatchingOnPermutation)
     HopcroftKarpMatcher hk;
     RequestMatrix req(8);
     for (PortId i = 0; i < 8; ++i)
-        req.set(i, (i * 3) % 8, 1);
+        req.set(i, (i * 3) % 8, true);
     Matching m = hk.match(req);
     EXPECT_EQ(m.size(), 8);
     EXPECT_TRUE(m.isLegalFor(req));
@@ -59,9 +59,9 @@ TEST(HopcroftKarpTest, FindsAugmentingPathGreedyMisses)
     // The classic example: greedy matching (0,0) blocks (1,0); maximum
     // re-routes 0 to 1.
     RequestMatrix req(2);
-    req.set(0, 0, 1);
-    req.set(0, 1, 1);
-    req.set(1, 0, 1);
+    req.set(0, 0, true);
+    req.set(0, 1, true);
+    req.set(1, 0, true);
     HopcroftKarpMatcher hk;
     Matching m = hk.match(req);
     EXPECT_EQ(m.size(), 2);
@@ -103,7 +103,7 @@ TEST(HopcroftKarpTest, FullBipartiteGraphSaturates)
     RequestMatrix req(16);
     for (PortId i = 0; i < 16; ++i)
         for (PortId j = 0; j < 16; ++j)
-            req.set(i, j, 1);
+            req.set(i, j, true);
     EXPECT_EQ(hk.match(req).size(), 16);
 }
 
@@ -122,9 +122,9 @@ TEST(HopcroftKarpTest, StarvationScenarioAlwaysExcludesWeakConnection)
     // outputs {1,2}, input 1 requests {1} only, so the unique maximum
     // match pairs 1->1 and 0->2 every slot and connection (0,1) starves.
     RequestMatrix req(3);
-    req.set(0, 1, 1);
-    req.set(0, 2, 1);
-    req.set(1, 1, 1);
+    req.set(0, 1, true);
+    req.set(0, 2, true);
+    req.set(1, 1, true);
     HopcroftKarpMatcher hk;
     for (int slot = 0; slot < 100; ++slot) {
         Matching m = hk.match(req);

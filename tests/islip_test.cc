@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "an2/base/matrix.h"
 #include "an2/base/rng.h"
 
 namespace an2 {
@@ -47,7 +48,7 @@ TEST(IslipTest, PointersDesynchronizeUnderFullLoad)
     RequestMatrix req(kN);
     for (PortId i = 0; i < kN; ++i)
         for (PortId j = 0; j < kN; ++j)
-            req.set(i, j, 1);
+            req.set(i, j, true);
     // Warm up so the pointers desynchronize.
     for (int s = 0; s < 100; ++s)
         islip.match(req);
@@ -62,7 +63,7 @@ TEST(IslipTest, FairAcrossConnectionsUnderFullLoad)
     RequestMatrix req(kN);
     for (PortId i = 0; i < kN; ++i)
         for (PortId j = 0; j < kN; ++j)
-            req.set(i, j, 1);
+            req.set(i, j, true);
     Matrix<int> served(kN, kN, 0);
     constexpr int kSlots = 4000;
     for (int s = 0; s < kSlots; ++s) {
@@ -96,7 +97,7 @@ TEST(IslipTest, ResetClearsPointers)
 {
     IslipMatcher islip(1);
     RequestMatrix req(4);
-    req.set(0, 0, 1);
+    req.set(0, 0, true);
     islip.match(req);
     islip.reset();
     RequestMatrix bigger(8);

@@ -135,7 +135,7 @@ TEST_P(MatcherConformanceTest, PermutationPatternHandled)
     auto matcher = makeMatcher();
     RequestMatrix req(size());
     for (PortId i = 0; i < size(); ++i)
-        req.set(i, (i + 1) % size(), 1);
+        req.set(i, (i + 1) % size(), true);
     Matching m = matcher->match(req);
     expectWellFormed(m, req);
     // All non-statistical matchers must find the full permutation; the
@@ -153,7 +153,7 @@ TEST_P(MatcherConformanceTest, SingleColumnContention)
     auto matcher = makeMatcher();
     RequestMatrix req(size());
     for (PortId i = 0; i < size(); ++i)
-        req.set(i, 0, 1);
+        req.set(i, 0, true);
     for (int t = 0; t < 20; ++t) {
         Matching m = matcher->match(req);
         expectWellFormed(m, req);
@@ -167,7 +167,7 @@ TEST_P(MatcherConformanceTest, SingleRowFanOut)
     auto matcher = makeMatcher();
     RequestMatrix req(size());
     for (PortId j = 0; j < size(); ++j)
-        req.set(0, j, 1);
+        req.set(0, j, true);
     for (int t = 0; t < 20; ++t) {
         Matching m = matcher->match(req);
         expectWellFormed(m, req);
@@ -319,7 +319,7 @@ TEST(MatcherBackendEquivalence, WordParallelRejectsUnsupportedConfigs)
     cfg.backend = MatcherBackend::WordParallel;
     PimMatcher pim(cfg);
     RequestMatrix req(4);
-    req.set(0, 0, 1);
+    req.set(0, 0, true);
     EXPECT_THROW(pim.match(req), UsageError);
 
     // Auto silently falls back to the reference core instead.
@@ -373,7 +373,7 @@ fullMatrix(int n)
     RequestMatrix req(n);
     for (PortId i = 0; i < n; ++i)
         for (PortId j = 0; j < n; ++j)
-            req.set(i, j, 1);
+            req.set(i, j, true);
     return req;
 }
 

@@ -86,8 +86,8 @@ TEST(MatchingTest, PairsInInputOrder)
 TEST(MatchingTest, LegalityAgainstRequests)
 {
     RequestMatrix req(3);
-    req.set(0, 1, 1);
-    req.set(2, 2, 1);
+    req.set(0, 1, true);
+    req.set(2, 2, true);
     Matching m(3);
     m.add(0, 1);
     EXPECT_TRUE(m.isLegalFor(req));
@@ -105,9 +105,9 @@ TEST(MatchingTest, LegalityRequiresMatchingDimensions)
 TEST(MatchingTest, MaximalityDetection)
 {
     RequestMatrix req(3);
-    req.set(0, 0, 1);
-    req.set(0, 1, 1);
-    req.set(1, 1, 1);
+    req.set(0, 0, true);
+    req.set(0, 1, true);
+    req.set(1, 1, true);
     Matching m(3);
     m.add(0, 0);
     EXPECT_FALSE(m.isMaximalFor(req));  // (1,1) still addable
@@ -125,8 +125,8 @@ TEST(MatchingTest, EmptyMatchingMaximalForEmptyRequests)
 TEST(MatchingTest, CapacityAffectsMaximality)
 {
     RequestMatrix req(2);
-    req.set(0, 0, 1);
-    req.set(1, 0, 1);
+    req.set(0, 0, true);
+    req.set(1, 0, true);
     Matching m1(2, 2, 1);
     m1.add(0, 0);
     EXPECT_TRUE(m1.isMaximalFor(req));  // output 0 saturated at capacity 1

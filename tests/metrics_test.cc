@@ -19,7 +19,7 @@ cellAt(FlowId flow, PortId in, PortId out, SlotTime inject)
 
 TEST(MetricsTest, WarmupCellsExcluded)
 {
-    MetricsCollector m(100, 4);
+    MetricsCollector m(100);
     Cell early = cellAt(0, 0, 1, 50);
     Cell late = cellAt(0, 0, 1, 150);
     m.noteInjected(early);
@@ -33,7 +33,7 @@ TEST(MetricsTest, WarmupCellsExcluded)
 
 TEST(MetricsTest, DelayStatsAndQuantiles)
 {
-    MetricsCollector m(0, 4);
+    MetricsCollector m(0);
     for (int d = 0; d < 100; ++d) {
         Cell c = cellAt(0, 0, 0, 0);
         m.noteInjected(c);
@@ -44,25 +44,25 @@ TEST(MetricsTest, DelayStatsAndQuantiles)
     EXPECT_EQ(m.delayStats().count(), 100);
 }
 
-TEST(MetricsTest, PerConnectionAndPerFlowCounts)
+TEST(MetricsTest, DeliveryCountsFilterOnDeliverySlot)
 {
-    MetricsCollector m(0, 4);
-    Cell a = cellAt(7, 1, 2, 0);
-    Cell b = cellAt(8, 1, 3, 0);
-    m.noteDelivered(a, 1);
-    m.noteDelivered(a, 2);
-    m.noteDelivered(b, 3);
-    EXPECT_EQ(m.deliveredPerConnection().at(1, 2), 2);
-    EXPECT_EQ(m.deliveredPerConnection().at(1, 3), 1);
-    EXPECT_EQ(m.deliveredPerConnection().at(0, 0), 0);
-    EXPECT_EQ(m.deliveredPerConnection().total(), 3);
-    EXPECT_EQ(m.deliveredPerFlow().at(7), 2);
-    EXPECT_EQ(m.deliveredPerFlow().at(8), 1);
+    // Delivered counts every cell delivered at or after warmup, whatever
+    // its injection slot; delay statistics take only cells injected at
+    // or after warmup.
+    MetricsCollector m(10);
+    m.noteDelivered(cellAt(7, 1, 2, 2), 5);    // before warmup: neither
+    m.noteDelivered(cellAt(7, 1, 2, 4), 12);   // backlog: counted only
+    m.noteDelivered(cellAt(8, 1, 3, 10), 13);  // both
+    m.noteDelivered(cellAt(8, 1, 3, 11), 15);  // both
+    EXPECT_EQ(m.delivered(), 3);
+    EXPECT_EQ(m.injected(), 0);
+    EXPECT_EQ(m.delayStats().count(), 2);
+    EXPECT_DOUBLE_EQ(m.meanDelay(), 3.5);
 }
 
 TEST(MetricsTest, OccupancyPeakSticky)
 {
-    MetricsCollector m(0, 4);
+    MetricsCollector m(0);
     m.noteOccupancy(3);
     m.noteOccupancy(10);
     m.noteOccupancy(4);
@@ -71,20 +71,14 @@ TEST(MetricsTest, OccupancyPeakSticky)
 
 TEST(MetricsTest, NegativeDelayPanics)
 {
-    MetricsCollector m(0, 4);
+    MetricsCollector m(0);
     Cell c = cellAt(0, 0, 0, 10);
     EXPECT_THROW(m.noteDelivered(c, 5), InternalError);
 }
 
 TEST(MetricsTest, NegativeWarmupRejected)
 {
-    EXPECT_THROW(MetricsCollector(-1, 4), UsageError);
-}
-
-TEST(MetricsTest, NonPositivePortCountRejected)
-{
-    EXPECT_THROW(MetricsCollector(0, 0), UsageError);
-    EXPECT_THROW(MetricsCollector(0, -3), UsageError);
+    EXPECT_THROW(MetricsCollector(-1), UsageError);
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ TEST(PimTest, SingleRequestMatchedInOneIteration)
 {
     PimMatcher pim(PimConfig{.iterations = 1});
     RequestMatrix req(8);
-    req.set(3, 5, 1);
+    req.set(3, 5, true);
     Matching m = pim.match(req);
     EXPECT_EQ(m.size(), 1);
     EXPECT_EQ(m.outputOf(3), 5);
@@ -38,7 +38,7 @@ TEST(PimTest, PermutationRequestsFullyMatchedInOneIteration)
     PimMatcher pim(PimConfig{.iterations = 1});
     RequestMatrix req(8);
     for (PortId i = 0; i < 8; ++i)
-        req.set(i, (i + 3) % 8, 1);
+        req.set(i, (i + 3) % 8, true);
     Matching m = pim.match(req);
     EXPECT_EQ(m.size(), 8);
 }
@@ -81,9 +81,9 @@ TEST(PimTest, GrantAndAcceptAreUniform)
             RequestMatrix req(4);
             for (PortId k = 0; k < 4; ++k) {
                 if (column)
-                    req.set(k, 0, 1);
+                    req.set(k, 0, true);
                 else
-                    req.set(0, k, 1);
+                    req.set(0, k, true);
             }
             std::vector<int> wins(4, 0);
             for (int s = 0; s < kSlots; ++s) {
@@ -135,7 +135,7 @@ TEST(PimTest, EarlyExitOncePairingsExhausted)
     // allowed (the second iteration adds nothing and stops the loop).
     PimMatcher pim(PimConfig{.iterations = 16});
     RequestMatrix req(4);
-    req.set(0, 0, 1);
+    req.set(0, 0, true);
     PimRunStats stats;
     pim.matchDetailed(req, stats, 16);
     EXPECT_LE(stats.iterations_run, 2);
@@ -154,7 +154,7 @@ TEST(PimTest, AppendixAWorstCasePattern)
             RequestMatrix req(n);
             for (PortId i = 0; i < n; ++i)
                 for (PortId j = 0; j < n; ++j)
-                    req.set(i, j, 1);
+                    req.set(i, j, true);
             Matching m = pim.match(req);
             EXPECT_EQ(m.size(), n);
         }
@@ -225,9 +225,9 @@ TEST(PimTest, NoStarvationUnderPersistentContention)
     // (0,*) and (1,1) regularly.
     PimMatcher pim(PimConfig{.iterations = 4, .seed = 12});
     RequestMatrix req(3);
-    req.set(0, 1, 1);
-    req.set(0, 2, 1);
-    req.set(1, 1, 1);
+    req.set(0, 1, true);
+    req.set(0, 2, true);
+    req.set(1, 1, true);
     int served_01 = 0;
     int served_11 = 0;
     int served_02 = 0;
@@ -255,7 +255,7 @@ TEST(PimTest, RoundRobinAcceptCyclesThroughOutputs)
     // slot, so round-robin accept must visit each output equally.
     RequestMatrix req(4);
     for (PortId j = 0; j < 4; ++j)
-        req.set(0, j, 1);
+        req.set(0, j, true);
     std::vector<int> served(4, 0);
     for (int slot = 0; slot < 400; ++slot) {
         Matching m = pim.match(req);
@@ -274,7 +274,7 @@ TEST(PimTest, OutputCapacityGrantsUpToK)
     PimMatcher pim(cfg);
     RequestMatrix req(4);
     for (PortId i = 0; i < 4; ++i)
-        req.set(i, 0, 1);  // everyone wants output 0
+        req.set(i, 0, true);  // everyone wants output 0
     Matching m = pim.match(req);
     EXPECT_EQ(m.size(), 3);
     EXPECT_EQ(m.outputDegree(0), 3);
@@ -319,7 +319,7 @@ TEST_P(PimCapacityTest, HotColumnAbsorbsUpToK)
     PimMatcher pim(cfg);
     RequestMatrix req(8);
     for (PortId i = 0; i < 8; ++i)
-        req.set(i, 0, 1);
+        req.set(i, 0, true);
     Matching m = pim.match(req);
     EXPECT_EQ(m.size(), std::min(8, k));
     EXPECT_EQ(m.outputDegree(0), std::min(8, k));

@@ -10,44 +10,18 @@ TEST(RequestMatrixTest, StartsEmpty)
 {
     RequestMatrix req(4);
     EXPECT_EQ(req.numEdges(), 0);
-    EXPECT_EQ(req.totalCells(), 0);
     EXPECT_FALSE(req.has(0, 0));
-}
-
-TEST(RequestMatrixTest, SetIncrementDecrement)
-{
-    RequestMatrix req(4);
-    req.set(1, 2, 3);
-    EXPECT_TRUE(req.has(1, 2));
-    EXPECT_EQ(req.count(1, 2), 3);
-    req.increment(1, 2);
-    EXPECT_EQ(req.count(1, 2), 4);
-    req.decrement(1, 2);
-    EXPECT_EQ(req.count(1, 2), 3);
-    EXPECT_EQ(req.numEdges(), 1);
-    EXPECT_EQ(req.totalCells(), 3);
-}
-
-TEST(RequestMatrixTest, DecrementEmptyPanics)
-{
-    RequestMatrix req(2);
-    EXPECT_THROW(req.decrement(0, 0), InternalError);
-}
-
-TEST(RequestMatrixTest, NegativeCountRejected)
-{
-    RequestMatrix req(2);
-    EXPECT_THROW(req.set(0, 0, -1), UsageError);
 }
 
 TEST(RequestMatrixTest, ClearEmpties)
 {
     RequestMatrix req(3);
-    req.set(0, 0, 2);
-    req.set(2, 1, 1);
+    req.set(0, 0, true);
+    req.set(2, 1, true);
     req.clear();
-    EXPECT_EQ(req.totalCells(), 0);
     EXPECT_EQ(req.numEdges(), 0);
+    EXPECT_FALSE(req.has(0, 0));
+    EXPECT_FALSE(req.has(2, 1));
 }
 
 TEST(RequestMatrixTest, RectangularDimensions)
@@ -55,7 +29,7 @@ TEST(RequestMatrixTest, RectangularDimensions)
     RequestMatrix req(2, 5);
     EXPECT_EQ(req.numInputs(), 2);
     EXPECT_EQ(req.numOutputs(), 5);
-    req.set(1, 4, 1);
+    req.set(1, 4, true);
     EXPECT_TRUE(req.has(1, 4));
 }
 
@@ -88,22 +62,18 @@ TEST(RequestMatrixTest, MasksTrackMutationsIncrementally)
     EXPECT_EQ(req.colWords(), 2);
     EXPECT_EQ(req.numEdges(), 0);
 
-    req.set(3, 68, 2);
+    req.set(3, 68, true);
     EXPECT_TRUE(wordset::testBit(req.rowMask(3), 68));
     EXPECT_TRUE(wordset::testBit(req.colMask(68), 3));
     EXPECT_EQ(req.numEdges(), 1);
 
-    // Count changes that stay positive do not change the masks or edges.
-    req.increment(3, 68);
-    EXPECT_EQ(req.count(3, 68), 3);
-    EXPECT_EQ(req.numEdges(), 1);
-    req.decrement(3, 68);
-    req.decrement(3, 68);
+    // Raising a raised request changes neither the masks nor the edges.
+    req.set(3, 68, true);
     EXPECT_TRUE(wordset::testBit(req.rowMask(3), 68));
     EXPECT_EQ(req.numEdges(), 1);
 
-    // The last cell clears the bit in both views.
-    req.decrement(3, 68);
+    // Lowering it clears the bit in both views.
+    req.set(3, 68, false);
     EXPECT_FALSE(wordset::testBit(req.rowMask(3), 68));
     EXPECT_FALSE(wordset::testBit(req.colMask(68), 3));
     EXPECT_EQ(req.numEdges(), 0);
@@ -134,20 +104,20 @@ TEST(RequestMatrixTest, ClearRowAndColumn)
     RequestMatrix req(6);
     for (PortId i = 0; i < 6; ++i)
         for (PortId j = 0; j < 6; ++j)
-            req.set(i, j, 1 + static_cast<int>(i));
+            req.set(i, j, true);
     EXPECT_EQ(req.numEdges(), 36);
 
     req.clearRow(2);
     EXPECT_EQ(req.numEdges(), 30);
     for (PortId j = 0; j < 6; ++j) {
-        EXPECT_EQ(req.count(2, j), 0);
+        EXPECT_FALSE(req.has(2, j));
         EXPECT_FALSE(wordset::testBit(req.colMask(j), 2));
     }
 
     req.clearColumn(4);
     EXPECT_EQ(req.numEdges(), 25);
     for (PortId i = 0; i < 6; ++i) {
-        EXPECT_EQ(req.count(i, 4), 0);
+        EXPECT_FALSE(req.has(i, 4));
         EXPECT_FALSE(wordset::testBit(req.rowMask(i), 4));
     }
     // Clearing an already-clear line is a no-op.
@@ -159,10 +129,10 @@ TEST(RequestMatrixTest, ClearRowAndColumn)
 TEST(RequestMatrixTest, CopyAssignPreservesMaskView)
 {
     RequestMatrix a(5);
-    a.set(1, 2, 3);
-    a.set(4, 0, 1);
+    a.set(1, 2, true);
+    a.set(4, 0, true);
     RequestMatrix b(5);
-    b.set(0, 0, 9);
+    b.set(0, 0, true);
     b = a;
     EXPECT_EQ(b.numEdges(), 2);
     EXPECT_FALSE(b.has(0, 0));
@@ -176,9 +146,9 @@ TEST(RequestMatrixTest, CopyAssignPreservesMaskView)
 TEST(RequestMatrixLiveness, DeadPortHidesWithoutDiscarding)
 {
     RequestMatrix req(4);
-    req.set(1, 2, 3);
-    req.set(1, 3, 1);
-    req.set(0, 2, 2);
+    req.set(1, 2, true);
+    req.set(1, 3, true);
+    req.set(0, 2, true);
     EXPECT_EQ(req.numEdges(), 3);
     EXPECT_TRUE(req.allPortsLive());
 
@@ -189,8 +159,6 @@ TEST(RequestMatrixLiveness, DeadPortHidesWithoutDiscarding)
     EXPECT_FALSE(req.has(1, 3));
     EXPECT_TRUE(req.has(0, 2));
     EXPECT_EQ(req.numEdges(), 1);
-    // Counts survive underneath the mask.
-    EXPECT_EQ(req.count(1, 2), 3);
     EXPECT_FALSE(wordset::testBit(req.rowMask(1), 2));
     EXPECT_FALSE(wordset::testBit(req.colMask(2), 1));
     EXPECT_TRUE(wordset::testBit(req.colMask(2), 0));
@@ -205,9 +173,9 @@ TEST(RequestMatrixLiveness, DeadPortHidesWithoutDiscarding)
 TEST(RequestMatrixLiveness, DeadOutputHidesColumn)
 {
     RequestMatrix req(4);
-    req.set(0, 1, 1);
-    req.set(2, 1, 1);
-    req.set(2, 3, 1);
+    req.set(0, 1, true);
+    req.set(2, 1, true);
+    req.set(2, 3, true);
 
     req.setOutputLive(1, false);
     EXPECT_FALSE(req.outputLive(1));
@@ -226,16 +194,19 @@ TEST(RequestMatrixLiveness, DeadOutputHidesColumn)
 
 TEST(RequestMatrixLiveness, MutationsWhileDeadStayHidden)
 {
-    // set/increment/decrement on a dead row must keep the edge hidden
-    // and re-expose whatever count survives at revival.
+    // set() on a dead row must keep the edge hidden and re-expose
+    // whatever request survives at revival.
     RequestMatrix req(4);
-    req.set(2, 0, 2);
+    req.set(2, 0, true);
+    req.set(2, 2, true);
     req.setInputLive(2, false);
 
-    req.increment(2, 1);     // new edge born hidden
-    req.decrement(2, 0);     // 2 -> 1, still hidden
-    req.set(2, 3, 5);
-    req.set(2, 3, 0);        // born and killed while dead
+    req.set(2, 1, true);     // new edge born hidden
+    req.set(2, 0, false);    // lowered and raised again, still hidden
+    req.set(2, 0, true);
+    req.set(2, 2, false);    // lowered while dead
+    req.set(2, 3, true);
+    req.set(2, 3, false);    // born and killed while dead
     EXPECT_EQ(req.numEdges(), 0);
     EXPECT_FALSE(req.has(2, 0));
     EXPECT_FALSE(req.has(2, 1));
@@ -243,15 +214,37 @@ TEST(RequestMatrixLiveness, MutationsWhileDeadStayHidden)
     req.setInputLive(2, true);
     EXPECT_EQ(req.numEdges(), 2);
     EXPECT_TRUE(req.has(2, 0));
-    EXPECT_EQ(req.count(2, 0), 1);
     EXPECT_TRUE(req.has(2, 1));
+    EXPECT_FALSE(req.has(2, 2));
     EXPECT_FALSE(req.has(2, 3));
+}
+
+TEST(RequestMatrixLiveness, RevivalExposesOnlyRequestsToLivePorts)
+{
+    // Three mask words per row: a request whose other end is still dead
+    // stays hidden when its input revives.
+    RequestMatrix req(130);
+    for (PortId j : {5, 100, 129})
+        req.set(3, j, true);
+    req.set(7, 100, true);
+    req.setInputLive(3, false);
+    req.setOutputLive(100, false);
+    req.setInputLive(3, true);
+    EXPECT_TRUE(req.has(3, 5) && req.has(3, 129));
+    EXPECT_FALSE(req.has(3, 100));
+    EXPECT_TRUE(wordset::testBit(req.colMask(129), 3));
+    EXPECT_EQ(req.numEdges(), 2);
+
+    req.setOutputLive(100, true);
+    EXPECT_TRUE(req.has(3, 100) && req.has(7, 100));
+    EXPECT_TRUE(wordset::testBit(req.rowMask(7), 100));
+    EXPECT_EQ(req.numEdges(), 4);
 }
 
 TEST(RequestMatrixLiveness, IdempotentAndSurvivesClear)
 {
     RequestMatrix req(3);
-    req.set(0, 0, 1);
+    req.set(0, 0, true);
     req.setInputLive(0, false);
     req.setInputLive(0, false);  // idempotent
     EXPECT_EQ(req.numEdges(), 0);
@@ -259,8 +252,8 @@ TEST(RequestMatrixLiveness, IdempotentAndSurvivesClear)
     req.clear();
     EXPECT_EQ(req.numEdges(), 0);
     EXPECT_FALSE(req.inputLive(0));  // liveness survives clear()
-    req.set(0, 1, 1);
-    req.set(1, 1, 1);
+    req.set(0, 1, true);
+    req.set(1, 1, true);
     EXPECT_EQ(req.numEdges(), 1);  // dead input's new request hidden
 
     req.setInputLive(0, true);
@@ -275,7 +268,7 @@ TEST(RequestMatrixDirty, EdgeTransitionsMarkRowsAndCols)
     const uint64_t e0 = req.epoch();
     EXPECT_FALSE(req.anyDirty());
 
-    req.set(2, 4, 1);  // edge born
+    req.set(2, 4, true);  // edge born
     EXPECT_TRUE(req.rowDirty(2));
     EXPECT_TRUE(req.colDirty(4));
     EXPECT_FALSE(req.rowDirty(1));
@@ -287,14 +280,14 @@ TEST(RequestMatrixDirty, EdgeTransitionsMarkRowsAndCols)
     const uint64_t e1 = req.epoch();
     EXPECT_EQ(req.epoch(), e1);  // clearDirty leaves the epoch alone
 
-    // A count change that does not cross zero changes no visible edge.
-    req.increment(2, 4);
+    // Raising a raised request (or lowering a lowered one) changes no
+    // visible edge.
+    req.set(2, 4, true);
+    req.set(3, 1, false);
     EXPECT_FALSE(req.anyDirty());
     EXPECT_EQ(req.epoch(), e1);
 
-    req.decrement(2, 4);  // 2 -> 1, still present
-    EXPECT_FALSE(req.anyDirty());
-    req.decrement(2, 4);  // edge dies
+    req.set(2, 4, false);  // edge dies
     EXPECT_TRUE(req.rowDirty(2));
     EXPECT_TRUE(req.colDirty(4));
     EXPECT_GT(req.epoch(), e1);
@@ -303,9 +296,9 @@ TEST(RequestMatrixDirty, EdgeTransitionsMarkRowsAndCols)
 TEST(RequestMatrixDirty, ClearLinesMarkEveryAffectedEdge)
 {
     RequestMatrix req(5);
-    req.set(1, 0, 1);
-    req.set(1, 3, 2);
-    req.set(4, 3, 1);
+    req.set(1, 0, true);
+    req.set(1, 3, true);
+    req.set(4, 3, true);
     req.clearDirty();
 
     req.clearRow(1);
@@ -332,8 +325,8 @@ TEST(RequestMatrixDirty, ClearLinesMarkEveryAffectedEdge)
 TEST(RequestMatrixDirty, LivenessFlipsMarkHiddenAndRevivedEdges)
 {
     RequestMatrix req(4);
-    req.set(2, 1, 1);
-    req.set(2, 3, 2);
+    req.set(2, 1, true);
+    req.set(2, 3, true);
     req.clearDirty();
     const uint64_t e0 = req.epoch();
 
@@ -346,7 +339,7 @@ TEST(RequestMatrixDirty, LivenessFlipsMarkHiddenAndRevivedEdges)
 
     // Mutations while dead stay invisible and mark nothing new.
     req.clearDirty();
-    req.increment(2, 0);  // born hidden
+    req.set(2, 0, true);  // born hidden
     EXPECT_FALSE(req.anyDirty());
 
     // Revival re-exposes the surviving requests -> marked again,
@@ -370,13 +363,13 @@ TEST(RequestMatrixDirty, LivenessFlipsMarkHiddenAndRevivedEdges)
 TEST(RequestMatrixDirty, CopyConservativelyMarksAllAndBumpsEpoch)
 {
     RequestMatrix a(4);
-    a.set(0, 0, 1);
+    a.set(0, 0, true);
     RequestMatrix b(4);
-    b.set(3, 3, 1);
+    b.set(3, 3, true);
     // Drive both epochs forward so max() matters.
     for (int k = 0; k < 5; ++k) {
-        b.set(1, 1, 1);
-        b.set(1, 1, 0);
+        b.set(1, 1, true);
+        b.set(1, 1, false);
     }
     a.clearDirty();
     b.clearDirty();
@@ -407,12 +400,11 @@ TEST(RequestMatrixLiveness, ClearLinesOnMaskedMatrix)
     RequestMatrix req(4);
     for (PortId i = 0; i < 4; ++i)
         for (PortId j = 0; j < 4; ++j)
-            req.set(i, j, 1);
+            req.set(i, j, true);
     req.setInputLive(1, false);
     EXPECT_EQ(req.numEdges(), 12);
 
-    req.clearRow(1);  // clearing a dead row zeroes the hidden counts
-    EXPECT_EQ(req.count(1, 0), 0);
+    req.clearRow(1);  // clearing a dead row drops its hidden requests
     EXPECT_EQ(req.numEdges(), 12);
     req.setInputLive(1, true);  // nothing left to re-expose
     EXPECT_EQ(req.numEdges(), 12);

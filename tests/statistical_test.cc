@@ -173,7 +173,7 @@ TEST(StatisticalMatcherTest, RequestFilteringDropsIdlePairs)
     cfg.seed = 19;
     StatisticalMatcher sm(uniformAllocation(4, 25), cfg);
     RequestMatrix req(4);
-    req.set(2, 1, 1);  // only connection with a queued cell
+    req.set(2, 1, true);  // only connection with a queued cell
     for (int t = 0; t < 200; ++t) {
         Matching m = sm.match(req);
         EXPECT_TRUE(m.isLegalFor(req));

@@ -109,10 +109,7 @@ TEST(WarmStartProperty, LegalAndMaximalUnderChurnAndFaults)
             for (int t = 0; t < kN; ++t) {
                 auto i = static_cast<PortId>(rng.nextBelow(kN));
                 auto j = static_cast<PortId>(rng.nextBelow(kN));
-                if (rng.nextBernoulli(0.7))
-                    req.increment(i, j);
-                else if (req.count(i, j) > 0)
-                    req.decrement(i, j);
+                req.set(i, j, rng.nextBernoulli(0.7));
             }
             if (round == 40)
                 req.setOutputLive(13, false);  // dies with edges reused
@@ -224,10 +221,7 @@ TEST(WarmStartRegression, OffMatchesSeedBehavior)
             for (int t = 0; t < kN / 2; ++t) {
                 auto i = static_cast<PortId>(rng.nextBelow(kN));
                 auto j = static_cast<PortId>(rng.nextBelow(kN));
-                if (rng.nextBernoulli(0.6))
-                    req.increment(i, j);
-                else if (req.count(i, j) > 0)
-                    req.decrement(i, j);
+                req.set(i, j, rng.nextBernoulli(0.6));
             }
             p.off->matchInto(req, a);
             p.legacy->matchInto(req, b);

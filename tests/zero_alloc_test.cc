@@ -473,11 +473,9 @@ TEST(ZeroAllocTest, NetworkSteadyStateIsAllocationFree)
 
 TEST(ZeroAllocTest, MetricsDeliverySteadyStateIsAllocationFree)
 {
-    // Delivery bookkeeping (delay stats + per-connection matrix +
-    // per-flow counts) must not allocate once the collector is built —
-    // the per-flow map previously allocated a node on each flow's first
-    // delivery mid-run.
-    MetricsCollector m(0, 16);
+    // Delivery bookkeeping (delivered count, delay stats and the delay
+    // histogram) must not allocate once the collector is built.
+    MetricsCollector m(0);
     Cell c;
     size_t before = g_allocations.load(std::memory_order_relaxed);
     for (int round = 0; round < 3; ++round) {
@@ -492,7 +490,7 @@ TEST(ZeroAllocTest, MetricsDeliverySteadyStateIsAllocationFree)
     size_t after = g_allocations.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u);
     EXPECT_EQ(m.delivered(), 3 * 256);
-    EXPECT_EQ(m.deliveredPerFlow().at(0), 3);
+    EXPECT_EQ(m.delayStats().count(), 3 * 256);
 }
 
 TEST(ZeroAllocTest, InputBufferChurnIsAllocationFree)
